@@ -39,12 +39,13 @@ AsrServiceVersion::process(std::size_t index) const
 
 #if TOLTIERS_OBS_ENABLED
     if (obs::metricsEnabled()) {
-        obs::Registry::global()
-            .histogram("tt_inference_wall_seconds",
-                       {{"service", "asr"},
-                        {"version", engine_.name()}},
-                       {},
-                       "Measured per-invocation decode wall time")
+        wallSeconds_
+            .get([&]() -> obs::Histogram & {
+                return obs::Registry::global().histogram(
+                    "tt_inference_wall_seconds",
+                    {{"service", "asr"}, {"version", engine_.name()}},
+                    {}, "Measured per-invocation decode wall time");
+            })
             .observe(r.wallSeconds);
     }
 #endif

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "asr/engine.hh"
+#include "obs/metrics.hh"
 #include "serving/instance.hh"
 #include "serving/service_version.hh"
 
@@ -38,6 +39,10 @@ class AsrServiceVersion : public serving::ServiceVersion
     const AsrEngine &engine_;
     const std::vector<Utterance> &workload_;
     const serving::InstanceType &instance_;
+#if TOLTIERS_OBS_ENABLED
+    /** tt_inference_wall_seconds, resolved on the first call. */
+    obs::LazyHandle<obs::Histogram> wallSeconds_;
+#endif
 };
 
 } // namespace toltiers::asr

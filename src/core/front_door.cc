@@ -14,18 +14,6 @@ namespace toltiers::core {
 
 using common::panic;
 
-namespace {
-
-/** Registry handle for one tt_frontdoor_* counter. */
-obs::Counter &
-frontDoorCounter(obs::Registry &reg, const char *name,
-                 const char *help)
-{
-    return reg.counter(name, {}, help);
-}
-
-} // namespace
-
 TierFrontDoor::TierFrontDoor(const TierService &service,
                              FrontDoorConfig cfg)
     : service_(service),
@@ -44,22 +32,25 @@ TierFrontDoor::TierFrontDoor(const TierService &service,
     }
     if (metrics_ != nullptr) {
         // Pre-register the series so an idle door exports zeros.
-        metrics_->histogram(
+        mQueueWait_ = &metrics_->histogram(
             "tt_frontdoor_queue_wait_seconds", {},
             obs::exponentialBounds(1e-7, 1.0, 15),
             "Seconds between admission and pool pickup");
-        frontDoorCounter(*metrics_, "tt_frontdoor_submitted_total",
-                         "Requests offered to the front door");
-        frontDoorCounter(*metrics_, "tt_frontdoor_rejected_total",
-                         "Requests shed at the door (queue full)");
-        frontDoorCounter(*metrics_, "tt_frontdoor_completed_total",
-                         "Responses produced");
-        frontDoorCounter(
-            *metrics_, "tt_frontdoor_violations_total",
+        submitted_.exported =
+            &metrics_->counter("tt_frontdoor_submitted_total", {},
+                               "Requests offered to the front door");
+        rejected_.exported = &metrics_->counter(
+            "tt_frontdoor_rejected_total", {},
+            "Requests shed at the door (queue full)");
+        completed_.exported = &metrics_->counter(
+            "tt_frontdoor_completed_total", {}, "Responses produced");
+        violations_.exported = &metrics_->counter(
+            "tt_frontdoor_violations_total", {},
             "Completed responses that reported a guarantee "
             "violation");
-        frontDoorCounter(*metrics_, "tt_frontdoor_batches_total",
-                         "Batch tasks run via submitBatch()");
+        batches_.exported =
+            &metrics_->counter("tt_frontdoor_batches_total", {},
+                               "Batch tasks run via submitBatch()");
     }
 }
 
@@ -82,11 +73,6 @@ bool
 TierFrontDoor::claimCapacity(const serving::ServiceRequest &request)
 {
     submitted_.inc();
-    if (metrics_ != nullptr) {
-        frontDoorCounter(*metrics_, "tt_frontdoor_submitted_total",
-                         "")
-            .inc();
-    }
 
     // Tenant quota first: an over-quota request is rejected before
     // it can contend for the shared capacity gate, so one tenant's
@@ -97,11 +83,6 @@ TierFrontDoor::claimCapacity(const serving::ServiceRequest &request)
     if (governor_ != nullptr &&
         !governor_->admit(request.tenant, clock_.seconds())) {
         rejected_.inc();
-        if (metrics_ != nullptr) {
-            frontDoorCounter(*metrics_,
-                             "tt_frontdoor_rejected_total", "")
-                .inc();
-        }
         return false;
     }
 
@@ -115,11 +96,6 @@ TierFrontDoor::claimCapacity(const serving::ServiceRequest &request)
         rejected_.inc();
         if (governor_ != nullptr)
             governor_->countShed(request.tenant);
-        if (metrics_ != nullptr) {
-            frontDoorCounter(*metrics_,
-                             "tt_frontdoor_rejected_total", "")
-                .inc();
-        }
         return false;
     }
     return true;
@@ -308,11 +284,6 @@ TierFrontDoor::submitBatch(std::vector<serving::ServiceRequest> batch,
     }
 
     batches_.inc();
-    if (metrics_ != nullptr) {
-        frontDoorCounter(*metrics_, "tt_frontdoor_batches_total",
-                         "")
-            .inc();
-    }
     // The batch runs as one fair-queue item costed at its size,
     // charged to the first admitted unit's tenant. The adaptive
     // batcher groups by tenant (serving/batcher.hh), so a batch is
@@ -342,17 +313,20 @@ TierFrontDoor::serveAdmitted(const serving::ServiceRequest &request,
                              double queue_wait) const
 {
     if (metrics_ != nullptr && obs::metricsEnabled()) {
-        metrics_
-            ->histogram("tt_frontdoor_queue_wait_seconds", {},
-                        obs::exponentialBounds(1e-7, 1.0, 15),
-                        "Seconds between admission and pool pickup")
+        mQueueWait_->observe(queue_wait);
+        stageAdmission_
+            .get([&]() -> obs::Histogram & {
+                return obs::stageHistogram(*metrics_,
+                                           obs::stage::kAdmission);
+            })
             .observe(queue_wait);
-        obs::recordStageSeconds(*metrics_, obs::stage::kAdmission,
-                                queue_wait);
         if (request.batchWaitSeconds > 0.0) {
-            obs::recordStageSeconds(*metrics_,
-                                    obs::stage::kBatchWait,
-                                    request.batchWaitSeconds);
+            stageBatchWait_
+                .get([&]() -> obs::Histogram & {
+                    return obs::stageHistogram(
+                        *metrics_, obs::stage::kBatchWait);
+                })
+                .observe(request.batchWaitSeconds);
         }
     }
     if (!trace) {
@@ -408,25 +382,16 @@ TierFrontDoor::account(const TierResponse &response,
         violations_.inc();
         break;
     }
-    if (metrics_ != nullptr) {
-        frontDoorCounter(*metrics_, "tt_frontdoor_completed_total",
-                         "")
-            .inc();
-        if (response.violated()) {
-            frontDoorCounter(*metrics_,
-                             "tt_frontdoor_violations_total", "")
-                .inc();
-        }
-    }
 }
 
 void
 TierFrontDoor::finishOne()
 {
+    // Release the slot and wake drain() under drainMu_: drain()
+    // takes drainMu_ before it returns, so the destructor can never
+    // free the mutex or the condition variable under this call.
+    std::lock_guard<std::mutex> lock(drainMu_);
     inFlight_.fetch_sub(1, std::memory_order_acq_rel);
-    {
-        std::lock_guard<std::mutex> lock(drainMu_);
-    }
     drainCv_.notify_all();
 }
 
@@ -533,6 +498,9 @@ TierFrontDoor::drain()
             break;
         drainCv_.wait_for(lock, std::chrono::milliseconds(1));
     }
+    // The finishOne() that brought the count to zero may still hold
+    // drainMu_; wait it out (see finishOne).
+    std::lock_guard<std::mutex> lock(drainMu_);
 }
 
 std::size_t
@@ -544,7 +512,7 @@ TierFrontDoor::inFlight() const
 FrontDoorStats
 TierFrontDoor::stats() const
 {
-    auto count = [](const obs::Counter &c) {
+    auto count = [](const auto &c) {
         return static_cast<std::uint64_t>(c.value() + 0.5);
     };
     FrontDoorStats s;

@@ -294,19 +294,27 @@ class TierFrontDoor
     mutable std::mutex drainMu_;
     std::condition_variable drainCv_;
 
-    // Striped hot tallies (see the file comment). The registry
-    // handles alias these when metrics are attached.
-    obs::Counter submitted_;
-    obs::Counter rejected_;
-    obs::Counter completed_;
+    // Striped hot tallies (see the file comment); the mirrored
+    // ones export as the tt_frontdoor_* series when metrics are
+    // attached.
+    obs::MirroredCounter submitted_;
+    obs::MirroredCounter rejected_;
+    obs::MirroredCounter completed_;
     obs::Counter ok_;
     obs::Counter fellBack_;
-    obs::Counter violations_;
+    obs::MirroredCounter violations_;
     obs::Counter collected_;
-    obs::Counter batches_;
+    obs::MirroredCounter batches_;
 
     obs::Registry *metrics_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
+
+    // Registry handles: the queue-wait histogram is resolved at
+    // construction (null without metrics), the stage histograms on
+    // their first sample.
+    obs::Histogram *mQueueWait_ = nullptr;
+    obs::LazyHandle<obs::Histogram> stageAdmission_;
+    obs::LazyHandle<obs::Histogram> stageBatchWait_;
 };
 
 } // namespace toltiers::core

@@ -78,6 +78,7 @@ TierService::TierService(
     referenceRule_.cfg.kind = PolicyKind::Single;
     referenceRule_.cfg.primary = versions_.size() - 1;
     referenceRule_.cfg.secondary = versions_.size() - 1;
+    resetSeries();
 }
 
 void
@@ -95,7 +96,8 @@ TierService::setRules(serving::Objective objective,
     }
     installGuarantees(objective, rules);
     registerRuleSeries(objective, rules);
-    rules_[objective] = std::move(rules);
+    rules_[objective].rules = std::move(rules);
+    resetSeries();
 }
 
 void
@@ -127,10 +129,58 @@ TierService::attachObservability(const obs::ObsContext &ctx,
 {
     ctx_ = ctx;
     degradationKind_ = kind;
-    for (const auto &[objective, rules] : rules_) {
-        installGuarantees(objective, rules);
-        registerRuleSeries(objective, rules);
+    for (const auto &[objective, tiers] : rules_) {
+        installGuarantees(objective, tiers.rules);
+        registerRuleSeries(objective, tiers.rules);
     }
+    resetSeries();
+}
+
+void
+TierService::resetSeries()
+{
+    for (auto &[objective, tiers] : rules_) {
+        tiers.series =
+            std::make_unique<TierSeries[]>(tiers.rules.size() + 1);
+    }
+    stageSeries_ = std::make_unique<StageSeries>();
+    common::MutexLock lock(tenantMu_);
+    for (auto &head : tenantBuckets_)
+        head.store(nullptr, std::memory_order_relaxed);
+    tenantNodes_.clear();
+}
+
+const TierService::TenantSeries &
+TierService::tenantSeries(const std::string &tenant) const
+{
+    auto find = [&](const TenantSeries *node) -> const TenantSeries * {
+        for (; node != nullptr; node = node->next) {
+            if (node->tenant == tenant)
+                return node;
+        }
+        return nullptr;
+    };
+    std::atomic<const TenantSeries *> &bucket =
+        tenantBuckets_[std::hash<std::string>{}(tenant) %
+                       kTenantBuckets];
+    if (const TenantSeries *hit =
+            find(bucket.load(std::memory_order_acquire)))
+        return *hit;
+
+    // First sight: insert under the lock (re-checking for a racing
+    // insert of the same tenant), then publish the new head. Nodes
+    // are never unlinked while the service serves.
+    common::MutexLock lock(tenantMu_);
+    const TenantSeries *head = bucket.load(std::memory_order_relaxed);
+    if (const TenantSeries *hit = find(head))
+        return *hit;
+    auto node = std::make_unique<TenantSeries>();
+    node->tenant = tenant;
+    node->next = head;
+    const TenantSeries *fresh = node.get();
+    tenantNodes_.push_back(std::move(node));
+    bucket.store(fresh, std::memory_order_release);
+    return *fresh;
 }
 
 void
@@ -196,19 +246,30 @@ const RoutingRule &
 TierService::ruleFor(double tolerance,
                      serving::Objective objective) const
 {
+    return *match(tolerance, objective).rule;
+}
+
+TierService::Match
+TierService::match(double tolerance,
+                   serving::Objective objective) const
+{
     auto it = rules_.find(objective);
     if (it == rules_.end()) {
         fatal("no routing rules installed for objective '",
               serving::objectiveName(objective), "'");
     }
-    const RoutingRule *best = &referenceRule_;
-    for (const RoutingRule &r : it->second) {
-        if (r.tolerance <= tolerance + 1e-12)
-            best = &r;
+    const Tiers &tiers = it->second;
+    std::size_t best = tiers.rules.size(); // The reference tier.
+    for (std::size_t i = 0; i < tiers.rules.size(); ++i) {
+        if (tiers.rules[i].tolerance <= tolerance + 1e-12)
+            best = i;
         else
             break; // Sorted ascending.
     }
-    return *best;
+    const RoutingRule *rule = best < tiers.rules.size()
+                                  ? &tiers.rules[best]
+                                  : &referenceRule_;
+    return {rule, &tiers.series[best]};
 }
 
 TierService::StageRun
@@ -369,9 +430,10 @@ TierService::handle(const serving::ServiceRequest &request,
                     const obs::TraceContext &span_ctx) const
 {
     common::Stopwatch rule_match_sw;
-    const RoutingRule &rule =
-        ruleFor(request.tier.tolerance, request.tier.objective);
+    const Match tier =
+        match(request.tier.tolerance, request.tier.objective);
     double rule_match_wall = rule_match_sw.seconds();
+    const RoutingRule &rule = *tier.rule;
     const EnsembleConfig &cfg = rule.cfg;
 
     TierResponse resp;
@@ -397,15 +459,17 @@ TierService::handle(const serving::ServiceRequest &request,
             // Per-tenant cache attribution: the shared cache's own
             // tt_cache_* tallies stay global; these labelled series
             // show who benefits from (and who churns) it.
-            const obs::Labels labels = {
-                {"tenant",
-                 serving::tenantMetricLabel(request.tenant)}};
-            ctx_.metrics
-                ->counter(hit ? "tt_tenant_cache_hits_total"
-                              : "tt_tenant_cache_misses_total",
-                          labels,
-                          hit ? "Result-cache hits per tenant"
-                              : "Result-cache misses per tenant")
+            const TenantSeries &ts = tenantSeries(request.tenant);
+            (hit ? ts.cacheHits : ts.cacheMisses)
+                .get([&]() -> obs::Counter & {
+                    return ctx_.metrics->counter(
+                        hit ? "tt_tenant_cache_hits_total"
+                            : "tt_tenant_cache_misses_total",
+                        {{"tenant",
+                          serving::tenantMetricLabel(request.tenant)}},
+                        hit ? "Result-cache hits per tenant"
+                            : "Result-cache misses per tenant");
+                })
                 .inc();
         }
         if (hit) {
@@ -414,7 +478,7 @@ TierService::handle(const serving::ServiceRequest &request,
             resp.servedFromCache = true;
             resp.latencySeconds = 0.0;
             resp.costDollars = 0.0;
-            recordMetrics(request.tier.objective, rule, resp);
+            recordMetrics(request.tier.objective, tier, resp);
             recordStageMetrics(resp, rule_match_wall, cache_wall);
             recordSlo(request, rule, resp);
             if (ctx_.monitor) {
@@ -603,7 +667,7 @@ TierService::handle(const serving::ServiceRequest &request,
         cache_->insert(fp, std::move(entry));
     }
 
-    recordMetrics(request.tier.objective, rule, resp);
+    recordMetrics(request.tier.objective, tier, resp);
     recordStageMetrics(resp, rule_match_wall, cache_wall);
     recordSlo(request, rule, resp);
     if (ctx_.monitor) {
@@ -625,56 +689,77 @@ TierService::handle(const serving::ServiceRequest &request,
 
 void
 TierService::recordMetrics(serving::Objective objective,
-                           const RoutingRule &rule,
+                           const Match &tier,
                            const TierResponse &resp) const
 {
     if (!ctx_.metrics || !obs::metricsEnabled())
         return;
-    obs::Labels labels = tierLabels(objective, rule.tolerance);
-    ctx_.metrics
-        ->counter("tt_tier_requests_total", labels,
-                  "Requests served per tier")
+    const TierSeries &series = *tier.series;
+    const double tolerance = tier.rule->tolerance;
+    auto counter = [&](const obs::LazyHandle<obs::Counter> &handle,
+                       const char *name,
+                       const char *help) -> obs::Counter & {
+        return handle.get([&]() -> obs::Counter & {
+            return ctx_.metrics->counter(
+                name, tierLabels(objective, tolerance), help);
+        });
+    };
+    counter(series.requests, "tt_tier_requests_total",
+            "Requests served per tier")
         .inc();
     if (resp.escalated) {
-        ctx_.metrics
-            ->counter("tt_tier_escalations_total", labels,
-                      "Requests escalated to the secondary")
+        counter(series.escalations, "tt_tier_escalations_total",
+                "Requests escalated to the secondary")
             .inc();
     }
-    ctx_.metrics
-        ->histogram("tt_tier_latency_seconds", labels, {},
-                    "Response latency per tier")
+    series.latency
+        .get([&]() -> obs::Histogram & {
+            return ctx_.metrics->histogram(
+                "tt_tier_latency_seconds",
+                tierLabels(objective, tolerance), {},
+                "Response latency per tier");
+        })
         .observe(resp.latencySeconds);
-    ctx_.metrics
-        ->histogram("tt_tier_cost_dollars", labels,
-                    obs::exponentialBounds(1e-6, 10.0, 15),
-                    "Invocation cost per tier")
+    series.cost
+        .get([&]() -> obs::Histogram & {
+            return ctx_.metrics->histogram(
+                "tt_tier_cost_dollars", tierLabels(objective, tolerance),
+                obs::exponentialBounds(1e-6, 10.0, 15),
+                "Invocation cost per tier");
+        })
         .observe(resp.costDollars);
     if (resp.retries > 0) {
-        ctx_.metrics
-            ->counter("tt_retries_total", labels,
-                      "Stage retry attempts per tier")
+        counter(series.retries, "tt_retries_total",
+                "Stage retry attempts per tier")
             .inc(static_cast<double>(resp.retries));
     }
     if (resp.hedges > 0) {
-        ctx_.metrics
-            ->counter("tt_hedges_total", labels,
-                      "Hedged duplicate dispatches per tier")
+        counter(series.hedges, "tt_hedges_total",
+                "Hedged duplicate dispatches per tier")
             .inc(static_cast<double>(resp.hedges));
     }
     if (resp.status == ServeStatus::FellBack) {
-        ctx_.metrics
-            ->counter("tt_fallbacks_total", labels,
-                      "Requests served by a fallback version")
+        counter(series.fallbacks, "tt_fallbacks_total",
+                "Requests served by a fallback version")
             .inc();
     }
     if (resp.violated()) {
-        ctx_.metrics
-            ->counter("tt_guarantee_violations_total", labels,
-                      "Requests whose tolerance promise could not "
-                      "be honored")
+        counter(series.violations, "tt_guarantee_violations_total",
+                "Requests whose tolerance promise could not be "
+                "honored")
             .inc();
     }
+}
+
+void
+TierService::recordStage(const obs::LazyHandle<obs::Histogram> &handle,
+                         const char *stage_name, double seconds) const
+{
+    handle
+        .get([&]() -> obs::Histogram & {
+            return obs::stageHistogram(*ctx_.metrics, stage_name);
+        })
+        .observe(seconds);
 }
 
 void
@@ -684,12 +769,10 @@ TierService::recordStageMetrics(const TierResponse &resp,
 {
     if (!ctx_.metrics || !obs::metricsEnabled())
         return;
-    obs::recordStageSeconds(*ctx_.metrics, obs::stage::kRoute,
-                            rule_match_wall);
-    if (cache_ != nullptr) {
-        obs::recordStageSeconds(*ctx_.metrics, obs::stage::kCache,
-                                cache_wall);
-    }
+    const StageSeries &stages = *stageSeries_;
+    recordStage(stages.route, obs::stage::kRoute, rule_match_wall);
+    if (cache_ != nullptr)
+        recordStage(stages.cache, obs::stage::kCache, cache_wall);
     if (resp.servedFromCache)
         return;
     // Execution decomposes by interval coverage: the union of the
@@ -704,15 +787,13 @@ TierService::recordStageMetrics(const TierResponse &resp,
     }
     obs::IntervalStats stats =
         obs::intervalStats(std::move(legs));
-    obs::recordStageSeconds(*ctx_.metrics, obs::stage::kExecute,
-                            stats.unionSeconds);
-    obs::recordStageSeconds(
-        *ctx_.metrics, obs::stage::kRetryBackoff,
-        std::max(0.0, resp.latencySeconds - stats.unionSeconds));
+    recordStage(stages.execute, obs::stage::kExecute,
+                stats.unionSeconds);
+    recordStage(stages.retryBackoff, obs::stage::kRetryBackoff,
+                std::max(0.0, resp.latencySeconds - stats.unionSeconds));
     if (stats.overlapSeconds > 0.0) {
-        obs::recordStageSeconds(*ctx_.metrics,
-                                obs::stage::kHedgeOverlap,
-                                stats.overlapSeconds);
+        recordStage(stages.hedgeOverlap, obs::stage::kHedgeOverlap,
+                    stats.overlapSeconds);
     }
 }
 

@@ -31,7 +31,10 @@
  * are reported to it the moment they are served, and every served
  * request spends or preserves its tier's error budget in the SLO
  * burn-rate tracker. All telemetry is optional and adds nothing
- * when no context is attached.
+ * when no context is attached. Registry handles are resolved once —
+ * per (objective, tier), per stage, and per tenant on first sight —
+ * so a served request only updates cached handles; the attached
+ * registry must outlive the service.
  *
  * Tracing is causal: handle(request, TraceContext) records its
  * spans *into the caller's trace* under the caller's root span —
@@ -58,11 +61,15 @@
 #ifndef TOLTIERS_CORE_TIER_SERVICE_HH
 #define TOLTIERS_CORE_TIER_SERVICE_HH
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/mutex.hh"
 #include "core/resilience.hh"
 #include "core/rule_generator.hh"
 #include "obs/obs.hh"
@@ -236,6 +243,64 @@ class TierService
         std::size_t version = 0;
     };
 
+    /** The tt_tier_* / fault-path series of one (objective, tier),
+     * each resolved the first time it records. */
+    struct TierSeries
+    {
+        obs::LazyHandle<obs::Counter> requests;
+        obs::LazyHandle<obs::Counter> escalations;
+        obs::LazyHandle<obs::Counter> retries;
+        obs::LazyHandle<obs::Counter> hedges;
+        obs::LazyHandle<obs::Counter> fallbacks;
+        obs::LazyHandle<obs::Counter> violations;
+        obs::LazyHandle<obs::Histogram> latency;
+        obs::LazyHandle<obs::Histogram> cost;
+    };
+
+    /** The rule table of one objective with its tiers' series. */
+    struct Tiers
+    {
+        std::vector<RoutingRule> rules; //!< Sorted by tolerance.
+        /** One per rule, then one for the implicit reference tier. */
+        std::unique_ptr<TierSeries[]> series;
+    };
+
+    /** A matched rule and the series of its tier. */
+    struct Match
+    {
+        const RoutingRule *rule = nullptr;
+        const TierSeries *series = nullptr;
+    };
+
+    /** Per-tenant cache attribution series: one node of an
+     * append-only bucket list, so lookups need no lock. */
+    struct TenantSeries
+    {
+        std::string tenant;
+        obs::LazyHandle<obs::Counter> cacheHits;
+        obs::LazyHandle<obs::Counter> cacheMisses;
+        const TenantSeries *next = nullptr;
+    };
+    static constexpr std::size_t kTenantBuckets = 64;
+
+    /** The tt_stage_seconds handles this service records into. */
+    struct StageSeries
+    {
+        obs::LazyHandle<obs::Histogram> route;
+        obs::LazyHandle<obs::Histogram> cache;
+        obs::LazyHandle<obs::Histogram> execute;
+        obs::LazyHandle<obs::Histogram> retryBackoff;
+        obs::LazyHandle<obs::Histogram> hedgeOverlap;
+    };
+
+    /** ruleFor(), plus the matched tier's series. */
+    Match match(double tolerance, serving::Objective objective) const;
+    /** The series of `tenant`, created on its first request. */
+    const TenantSeries &tenantSeries(const std::string &tenant) const;
+    /** Fresh (unresolved) series for every tier, stage and tenant —
+     * run whenever the rules or the registry change. */
+    void resetSeries();
+
     StageRun runStage(std::size_t version, std::size_t payload,
                       double budget_left,
                       std::uint64_t salt) const;
@@ -254,8 +319,10 @@ class TierService
     void registerRuleSeries(serving::Objective objective,
                             const std::vector<RoutingRule> &rules);
     void recordMetrics(serving::Objective objective,
-                       const RoutingRule &rule,
+                       const Match &tier,
                        const TierResponse &resp) const;
+    void recordStage(const obs::LazyHandle<obs::Histogram> &handle,
+                     const char *stage_name, double seconds) const;
     void recordStageMetrics(const TierResponse &resp,
                             double rule_match_wall,
                             double cache_wall) const;
@@ -268,8 +335,16 @@ class TierService
                      const obs::TraceContext &span_ctx) const;
 
     std::vector<const serving::ServiceVersion *> versions_;
-    std::map<serving::Objective, std::vector<RoutingRule>> rules_;
+    std::map<serving::Objective, Tiers> rules_;
     RoutingRule referenceRule_; //!< Single(most accurate), tol 0.
+    std::unique_ptr<StageSeries> stageSeries_;
+    /** Heads of the tenant bucket lists; read without a lock. */
+    mutable std::array<std::atomic<const TenantSeries *>,
+                       kTenantBuckets>
+        tenantBuckets_{};
+    mutable common::Mutex tenantMu_; //!< Serializes tenant inserts.
+    mutable std::vector<std::unique_ptr<TenantSeries>>
+        tenantNodes_ GUARDED_BY(tenantMu_);
     serving::ResultCache *cache_ = nullptr;
     ResiliencePolicy resilience_;
     std::vector<VersionProfile> profiles_;

@@ -42,12 +42,14 @@ IcServiceVersion::process(std::size_t index) const
 
 #if TOLTIERS_OBS_ENABLED
     if (obs::metricsEnabled()) {
-        obs::Registry::global()
-            .histogram("tt_inference_wall_seconds",
-                       {{"service", "ic"},
-                        {"version", classifier_.name()}},
-                       {},
-                       "Measured per-invocation forward wall time")
+        wallSeconds_
+            .get([&]() -> obs::Histogram & {
+                return obs::Registry::global().histogram(
+                    "tt_inference_wall_seconds",
+                    {{"service", "ic"},
+                     {"version", classifier_.name()}},
+                    {}, "Measured per-invocation forward wall time");
+            })
             .observe(wall.seconds());
     }
 #endif

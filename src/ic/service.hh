@@ -9,6 +9,7 @@
 
 #include "dataset/synth_images.hh"
 #include "ic/classifier.hh"
+#include "obs/metrics.hh"
 #include "serving/instance.hh"
 #include "serving/service_version.hh"
 
@@ -37,6 +38,10 @@ class IcServiceVersion : public serving::ServiceVersion
     const Classifier &classifier_;
     const dataset::ImageSet &workload_;
     const serving::InstanceType &instance_;
+#if TOLTIERS_OBS_ENABLED
+    /** tt_inference_wall_seconds, resolved on the first call. */
+    obs::LazyHandle<obs::Histogram> wallSeconds_;
+#endif
 };
 
 } // namespace toltiers::ic

@@ -22,34 +22,37 @@ TierServer::TierServer(core::TierFrontDoor &door, ServerConfig cfg)
     if (cfg_.maxFrameBytes > kMaxFrameBytes)
         cfg_.maxFrameBytes = kMaxFrameBytes;
     if (cfg_.metrics != nullptr) {
-        // Pre-register the series so an idle server exports zeros.
+        // Pre-register the series so an idle server exports zeros;
+        // the request path then only updates these handles.
         obs::Registry &reg = *cfg_.metrics;
-        reg.counter("tt_net_connections_total", {},
-                    "Connections accepted by the TCP front end");
-        reg.counter("tt_net_accepted_total", {},
-                    "Well-formed request frames handed to the "
-                    "front door");
-        reg.counter("tt_net_completed_total", {},
-                    "Response frames written back to clients");
-        reg.counter("tt_net_rejected_total", {},
-                    "Request frames shed by the bounded front door");
-        reg.counter("tt_net_aborted_total", {},
-                    "Requests owed a response when their "
-                    "connection died");
-        reg.counter("tt_net_bad_frames_total", {},
-                    "Malformed, truncated, or oversized frames");
-        reg.counter("tt_net_bytes_read_total", {},
-                    "Bytes read off client sockets");
-        reg.counter("tt_net_bytes_written_total", {},
-                    "Bytes written to client sockets");
-        reg.histogram("tt_stage_seconds",
-                      {{"stage", obs::stage::kNetRead}},
-                      obs::stageSecondsBounds(),
-                      "Per-stage share of request wall time");
-        reg.histogram("tt_stage_seconds",
-                      {{"stage", obs::stage::kNetWrite}},
-                      obs::stageSecondsBounds(),
-                      "Per-stage share of request wall time");
+        connections_.exported =
+            &reg.counter("tt_net_connections_total", {},
+                         "Connections accepted by the TCP front end");
+        accepted_.exported =
+            &reg.counter("tt_net_accepted_total", {},
+                         "Well-formed request frames handed to the "
+                         "front door");
+        completed_.exported =
+            &reg.counter("tt_net_completed_total", {},
+                         "Response frames written back to clients");
+        rejected_.exported = &reg.counter(
+            "tt_net_rejected_total", {},
+            "Request frames shed by the bounded front door");
+        aborted_.exported =
+            &reg.counter("tt_net_aborted_total", {},
+                         "Requests owed a response when their "
+                         "connection died");
+        badFrames_.exported =
+            &reg.counter("tt_net_bad_frames_total", {},
+                         "Malformed, truncated, or oversized frames");
+        bytesRead_.exported =
+            &reg.counter("tt_net_bytes_read_total", {},
+                         "Bytes read off client sockets");
+        bytesWritten_.exported =
+            &reg.counter("tt_net_bytes_written_total", {},
+                         "Bytes written to client sockets");
+        netRead_ = &obs::stageHistogram(reg, obs::stage::kNetRead);
+        netWrite_ = &obs::stageHistogram(reg, obs::stage::kNetWrite);
     }
 }
 
@@ -157,7 +160,7 @@ TierServer::acceptLoop()
         }
         auto conn = std::make_shared<Connection>();
         conn->fd.reset(client);
-        bumpCounter("tt_net_connections_total", connections_);
+        connections_.inc();
         common::MutexLock lock(mu_);
         if (!running_) {
             // Raced with stop(): refuse the connection rather than
@@ -186,8 +189,7 @@ TierServer::serveConnection(const std::shared_ptr<Connection> &conn)
         long n = recvSome(conn->fd.get(), chunk, sizeof(chunk));
         if (n <= 0)
             break; // Peer closed, stop() shut us down, or error.
-        bumpCounter("tt_net_bytes_read_total", bytesRead_,
-                    static_cast<double>(n));
+        bytesRead_.inc(static_cast<double>(n));
         buf.insert(buf.end(), chunk, chunk + n);
         if (!drainFrames(conn, buf, readWatch, watchArmed))
             break;
@@ -225,8 +227,8 @@ TierServer::drainFrames(const std::shared_ptr<Connection> &conn,
             break;
         }
         if (watch_armed) {
-            recordStage(obs::stage::kNetRead,
-                        read_watch.seconds());
+            if (netRead_ != nullptr)
+                netRead_->observe(read_watch.seconds());
             watch_armed = false;
         }
         if (frame.status == CodecStatus::Ok &&
@@ -240,7 +242,7 @@ TierServer::drainFrames(const std::shared_ptr<Connection> &conn,
         // server's tighter cfg bound), or a frame type the server
         // does not take. Framing cannot be trusted past this point:
         // answer BadRequest and close.
-        bumpCounter("tt_net_bad_frames_total", badFrames_);
+        badFrames_.inc();
         NetResponse resp;
         resp.id = 0; // The id is unknowable from a bad frame.
         resp.status = WireStatus::BadRequest;
@@ -260,15 +262,14 @@ void
 TierServer::handleRequest(const std::shared_ptr<Connection> &conn,
                           serving::ServiceRequest request)
 {
-    bumpCounter("tt_net_accepted_total", accepted_);
+    accepted_.inc();
     const std::uint64_t id = request.id;
     {
         common::MutexLock lock(conn->mu);
         ++conn->outstanding;
     }
-    auto settle = [this, conn](const char *name,
-                               obs::Counter &local) {
-        bumpCounter(name, local);
+    auto settle = [conn](obs::MirroredCounter &outcome) {
+        outcome.inc();
         common::MutexLock lock(conn->mu);
         if (--conn->outstanding == 0)
             conn->cv.notify_all();
@@ -277,9 +278,9 @@ TierServer::handleRequest(const std::shared_ptr<Connection> &conn,
         std::move(request),
         [this, conn, id, settle](const core::TierResponse &r) {
             if (writeResponse(conn, toWire(r, id)))
-                settle("tt_net_completed_total", completed_);
+                settle(completed_);
             else
-                settle("tt_net_aborted_total", aborted_);
+                settle(aborted_);
         });
     if (!admitted) {
         // Shed by the bounded door. The client still gets a frame
@@ -291,7 +292,7 @@ TierServer::handleRequest(const std::shared_ptr<Connection> &conn,
         resp.status = WireStatus::Rejected;
         resp.statusNote = "shed by bounded admission";
         (void)writeResponse(conn, resp);
-        settle("tt_net_rejected_total", rejected_);
+        settle(rejected_);
     }
 }
 
@@ -320,9 +321,9 @@ TierServer::writeResponse(const std::shared_ptr<Connection> &conn,
         conn->writeBroken = true;
         return false;
     }
-    bumpCounter("tt_net_bytes_written_total", bytesWritten_,
-                static_cast<double>(frame.size()));
-    recordStage(obs::stage::kNetWrite, writeWatch.seconds());
+    bytesWritten_.inc(static_cast<double>(frame.size()));
+    if (netWrite_ != nullptr)
+        netWrite_->observe(writeWatch.seconds());
     return true;
 }
 
@@ -352,23 +353,6 @@ TierServer::toWire(const core::TierResponse &resp, std::uint64_t id)
     out.output = resp.output;
     out.statusNote = resp.statusNote;
     return out;
-}
-
-void
-TierServer::recordStage(const char *stage_name,
-                        double seconds) const
-{
-    if (cfg_.metrics != nullptr)
-        obs::recordStageSeconds(*cfg_.metrics, stage_name, seconds);
-}
-
-void
-TierServer::bumpCounter(const char *name, obs::Counter &local,
-                        double delta) const
-{
-    local.inc(delta);
-    if (cfg_.metrics != nullptr)
-        cfg_.metrics->counter(name).inc(delta);
 }
 
 } // namespace toltiers::net

@@ -160,9 +160,6 @@ class TierServer
                       const NetResponse &resp);
     static NetResponse toWire(const core::TierResponse &resp,
                               std::uint64_t id);
-    void recordStage(const char *stage_name, double seconds) const;
-    void bumpCounter(const char *name, obs::Counter &local,
-                     double delta = 1.0) const;
 
     core::TierFrontDoor &door_;
     ServerConfig cfg_;
@@ -179,14 +176,18 @@ class TierServer
 
     // Striped hot tallies, mirrored into cfg_.metrics when
     // attached (same scheme as TierFrontDoor).
-    obs::Counter connections_;
-    obs::Counter accepted_;
-    obs::Counter completed_;
-    obs::Counter rejected_;
-    obs::Counter aborted_;
-    obs::Counter badFrames_;
-    obs::Counter bytesRead_;
-    obs::Counter bytesWritten_;
+    obs::MirroredCounter connections_;
+    obs::MirroredCounter accepted_;
+    obs::MirroredCounter completed_;
+    obs::MirroredCounter rejected_;
+    obs::MirroredCounter aborted_;
+    obs::MirroredCounter badFrames_;
+    obs::MirroredCounter bytesRead_;
+    obs::MirroredCounter bytesWritten_;
+    /** tt_stage_seconds net-read / net-write (null without
+     * metrics). */
+    obs::Histogram *netRead_ = nullptr;
+    obs::Histogram *netWrite_ = nullptr;
 };
 
 } // namespace toltiers::net

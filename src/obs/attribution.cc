@@ -177,15 +177,13 @@ stageSecondsBounds()
     return exponentialBounds(1e-7, 10.0, 17);
 }
 
-void
-recordStageSeconds(Registry &registry, const char *stage_name,
-                   double seconds)
+Histogram &
+stageHistogram(Registry &registry, const char *stage_name)
 {
-    registry
-        .histogram("tt_stage_seconds", {{"stage", stage_name}},
-                   stageSecondsBounds(),
-                   "Per-stage share of request wall time")
-        .observe(seconds);
+    return registry.histogram("tt_stage_seconds",
+                              {{"stage", stage_name}},
+                              stageSecondsBounds(),
+                              "Per-stage share of request wall time");
 }
 
 } // namespace toltiers::obs

@@ -109,9 +109,9 @@ criticalPath(const TraceRecord &record);
  * (queue waits are microseconds; modeled stage runs are seconds). */
 std::vector<double> stageSecondsBounds();
 
-/** Record one per-stage sample into tt_stage_seconds{stage=...}. */
-void recordStageSeconds(Registry &registry, const char *stage_name,
-                        double seconds);
+/** The tt_stage_seconds{stage=...} histogram for one stage (a
+ * registry lookup: callers resolve it once and keep the handle). */
+Histogram &stageHistogram(Registry &registry, const char *stage_name);
 
 } // namespace toltiers::obs
 

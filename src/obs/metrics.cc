@@ -336,13 +336,6 @@ Registry::seriesCount() const
     return n;
 }
 
-void
-Registry::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    families_.clear();
-}
-
 Registry &
 Registry::global()
 {

@@ -11,7 +11,8 @@
  *
  * Concurrency model: metric handles returned by the registry are
  * stable for the registry's lifetime, so hot paths resolve a handle
- * once and then update it lock-free. Counters are striped across
+ * once (LazyHandle, or a pointer taken at construction) and then
+ * update it lock-free. Counters are striped across
  * cache-line-padded atomics (writers on different threads touch
  * different lines; value() sums the stripes), gauges are single
  * atomics, and histogram updates are per-bucket atomics — no mutex
@@ -205,6 +206,12 @@ struct SeriesSnapshot
 /**
  * Named, labelled metric store. One registry instance can back a
  * whole process (see global()), or tests can build their own.
+ *
+ * Lifetime rule: series are never removed, and every component
+ * attached to a registry (tier service, front door, server, result
+ * cache, SLO tracker, tenant governor, version adapters) caches the
+ * handles it records into. A registry must therefore outlive every
+ * component attached to it.
  */
 class Registry
 {
@@ -239,9 +246,6 @@ class Registry
     /** Number of registered series. */
     std::size_t seriesCount() const;
 
-    /** Drop every series (tests / between benchmark repetitions). */
-    void clear();
-
     /**
      * The process-wide registry the built-in instrumentation
      * records into.
@@ -269,6 +273,55 @@ class Registry
 
     mutable std::mutex mu_;
     std::map<std::string, Family> families_;
+};
+
+/**
+ * A component's own striped tally, mirrored into a registry series
+ * when one is attached: the component's stats() read the local
+ * value, exporters read the registry (which may aggregate several
+ * components).
+ */
+struct MirroredCounter
+{
+    Counter local;
+    Counter *exported = nullptr; //!< Null without a registry.
+
+    void
+    inc(double delta = 1.0)
+    {
+        local.inc(delta);
+        if (exported != nullptr)
+            exported->inc(delta);
+    }
+
+    double value() const { return local.value(); }
+};
+
+/**
+ * One series handle, resolved on first use and cached. The first
+ * get() runs `resolve` (a registry lookup), so the series appears in
+ * a snapshot exactly when an uncached lookup would have created it;
+ * every later get() is one atomic load. Concurrent first uses may
+ * each resolve; the registry hands all of them the same handle.
+ */
+template <typename Metric>
+class LazyHandle
+{
+  public:
+    template <typename Resolve>
+    Metric &
+    get(Resolve &&resolve) const
+    {
+        Metric *m = handle_.load(std::memory_order_acquire);
+        if (m == nullptr) {
+            m = &resolve();
+            handle_.store(m, std::memory_order_release);
+        }
+        return *m;
+    }
+
+  private:
+    mutable std::atomic<Metric *> handle_{nullptr};
 };
 
 /**

@@ -59,12 +59,59 @@ SloTracker::attachMetrics(Registry *registry)
 {
     std::lock_guard<std::mutex> lock(mu_);
     metrics_ = registry;
+    // Handles from a previous registry must not be reused.
+    for (auto &[key, ts] : tiers_)
+        ts.gauges = Gauges{};
+    for (auto &[tenant, ts] : tenants_)
+        ts.gauges = Gauges{};
     if (metrics_ != nullptr) {
-        for (const auto &[key, ts] : tiers_)
+        for (auto &[key, ts] : tiers_)
             publish(key, ts);
-        for (const auto &[tenant, ts] : tenants_)
+        for (auto &[tenant, ts] : tenants_)
             publishTenant(tenant, ts);
     }
+}
+
+void
+SloTracker::Window::push(bool is_bad, std::size_t capacity)
+{
+    if (ring.size() != capacity) {
+        // First push, or the policy changed the window length: keep
+        // the newest events that still fit, oldest first.
+        std::vector<bool> kept(capacity, false);
+        std::size_t keep = std::min(size, capacity);
+        std::uint64_t kept_bad = 0;
+        for (std::size_t i = 0; i < keep; ++i) {
+            bool e = ring[(head + size - keep + i) % ring.size()];
+            kept[i] = e;
+            kept_bad += e ? 1 : 0;
+        }
+        ring.swap(kept);
+        head = 0;
+        size = keep;
+        bad = kept_bad;
+    }
+    if (capacity == 0)
+        return; // A zero-length window holds nothing.
+    if (size == capacity) {
+        bad -= ring[head] ? 1 : 0;
+        ring[head] = is_bad;
+        head = (head + 1) % capacity;
+    } else {
+        ring[(head + size) % capacity] = is_bad;
+        ++size;
+    }
+    bad += is_bad ? 1 : 0;
+}
+
+void
+SloTracker::push(TierSlo &ts, bool good)
+{
+    bool bad = !good;
+    ++ts.events;
+    ts.bad += bad ? 1 : 0;
+    ts.fast.push(bad, ts.policy.fastWindowEvents);
+    ts.slow.push(bad, ts.policy.slowWindowEvents);
 }
 
 void
@@ -78,13 +125,8 @@ SloTracker::record(const std::string &objective, double tolerance,
         it = tiers_.emplace(key, TierSlo{}).first;
         it->second.policy = defaults_;
     }
-    TierSlo &ts = it->second;
-    bool bad = !good;
-    ++ts.events;
-    ts.bad += bad ? 1 : 0;
-    ts.fast.push(bad, ts.policy.fastWindowEvents);
-    ts.slow.push(bad, ts.policy.slowWindowEvents);
-    publish(key, ts);
+    push(it->second, good);
+    publish(key, it->second);
 }
 
 void
@@ -96,13 +138,29 @@ SloTracker::recordTenant(const std::string &tenant_label, bool good)
         it = tenants_.emplace(tenant_label, TierSlo{}).first;
         it->second.policy = defaults_;
     }
-    TierSlo &ts = it->second;
-    bool bad = !good;
-    ++ts.events;
-    ts.bad += bad ? 1 : 0;
-    ts.fast.push(bad, ts.policy.fastWindowEvents);
-    ts.slow.push(bad, ts.policy.slowWindowEvents);
-    publishTenant(tenant_label, ts);
+    push(it->second, good);
+    publishTenant(tenant_label, it->second);
+}
+
+SloTracker::Burn
+SloTracker::burn(const TierSlo &ts)
+{
+    Burn b;
+    double budget = errorBudget(ts.policy);
+    b.fast = ts.fast.badFraction() / budget;
+    b.slow = ts.slow.badFraction() / budget;
+
+    // Multiwindow multi-burn-rate alerting: both the reactive and
+    // the sustained window must agree before anything fires, and a
+    // cold tier (or tenant) never alerts.
+    if (ts.events >= ts.policy.minEvents) {
+        double both = std::min(b.fast, b.slow);
+        if (both >= ts.policy.pageBurnRate)
+            b.alert = SloAlert::Page;
+        else if (both >= ts.policy.ticketBurnRate)
+            b.alert = SloAlert::Ticket;
+    }
+    return b;
 }
 
 SloStatus
@@ -114,58 +172,49 @@ SloTracker::evaluate(const Key &key, const TierSlo &ts) const
     status.policy = ts.policy;
     status.events = ts.events;
     status.bad = ts.bad;
-
-    double budget = errorBudget(ts.policy);
-    status.fastBurnRate = ts.fast.badFraction() / budget;
-    status.slowBurnRate = ts.slow.badFraction() / budget;
-    status.budgetRemaining = 1.0 - status.slowBurnRate;
-
-    // Multiwindow multi-burn-rate alerting: both the reactive and
-    // the sustained window must agree before anything fires, and a
-    // cold tier never alerts.
-    if (ts.events >= ts.policy.minEvents) {
-        double both = std::min(status.fastBurnRate,
-                               status.slowBurnRate);
-        if (both >= ts.policy.pageBurnRate)
-            status.alert = SloAlert::Page;
-        else if (both >= ts.policy.ticketBurnRate)
-            status.alert = SloAlert::Ticket;
-    }
+    Burn b = burn(ts);
+    status.fastBurnRate = b.fast;
+    status.slowBurnRate = b.slow;
+    status.budgetRemaining = 1.0 - b.slow;
+    status.alert = b.alert;
     return status;
 }
 
 void
-SloTracker::publish(const Key &key, const TierSlo &ts)
+SloTracker::publish(const Key &key, TierSlo &ts)
 {
     if (metrics_ == nullptr || !metricsEnabled())
         return;
-    SloStatus status = evaluate(key, ts);
-    Labels labels = sloLabels(key);
-    metrics_
-        ->gauge("tt_slo_events_total", labels,
-                "Requests accounted against the tier's SLO")
-        .set(static_cast<double>(status.events));
-    metrics_
-        ->gauge("tt_slo_bad_total", labels,
-                "Requests that spent error budget (violations)")
-        .set(static_cast<double>(status.bad));
-    metrics_
-        ->gauge("tt_slo_burn_rate_fast", labels,
-                "Error-budget burn rate over the fast window")
-        .set(status.fastBurnRate);
-    metrics_
-        ->gauge("tt_slo_burn_rate_slow", labels,
-                "Error-budget burn rate over the slow window")
-        .set(status.slowBurnRate);
-    metrics_
-        ->gauge("tt_slo_budget_remaining", labels,
-                "Unspent fraction of the slow window's error budget")
-        .set(status.budgetRemaining);
-    metrics_
-        ->gauge("tt_slo_alert_level", labels,
-                "Multiwindow alert severity (0 none, 1 ticket, "
-                "2 page)")
-        .set(static_cast<double>(status.alert));
+    Gauges &g = ts.gauges;
+    if (g.events == nullptr) {
+        Labels labels = sloLabels(key);
+        g.events = &metrics_->gauge(
+            "tt_slo_events_total", labels,
+            "Requests accounted against the tier's SLO");
+        g.bad = &metrics_->gauge(
+            "tt_slo_bad_total", labels,
+            "Requests that spent error budget (violations)");
+        g.burnFast = &metrics_->gauge(
+            "tt_slo_burn_rate_fast", labels,
+            "Error-budget burn rate over the fast window");
+        g.burnSlow = &metrics_->gauge(
+            "tt_slo_burn_rate_slow", labels,
+            "Error-budget burn rate over the slow window");
+        g.budgetRemaining = &metrics_->gauge(
+            "tt_slo_budget_remaining", labels,
+            "Unspent fraction of the slow window's error budget");
+        g.alert = &metrics_->gauge(
+            "tt_slo_alert_level", labels,
+            "Multiwindow alert severity (0 none, 1 ticket, "
+            "2 page)");
+    }
+    Burn b = burn(ts);
+    g.events->set(static_cast<double>(ts.events));
+    g.bad->set(static_cast<double>(ts.bad));
+    g.burnFast->set(b.fast);
+    g.burnSlow->set(b.slow);
+    g.budgetRemaining->set(1.0 - b.slow);
+    g.alert->set(static_cast<double>(b.alert));
 }
 
 TenantSloStatus
@@ -177,52 +226,44 @@ SloTracker::evaluateTenant(const std::string &tenant,
     status.policy = ts.policy;
     status.events = ts.events;
     status.bad = ts.bad;
-
-    double budget = errorBudget(ts.policy);
-    status.fastBurnRate = ts.fast.badFraction() / budget;
-    status.slowBurnRate = ts.slow.badFraction() / budget;
-
-    // The same multiwindow agreement rule as the tier alerts.
-    if (ts.events >= ts.policy.minEvents) {
-        double both = std::min(status.fastBurnRate,
-                               status.slowBurnRate);
-        if (both >= ts.policy.pageBurnRate)
-            status.alert = SloAlert::Page;
-        else if (both >= ts.policy.ticketBurnRate)
-            status.alert = SloAlert::Ticket;
-    }
+    Burn b = burn(ts);
+    status.fastBurnRate = b.fast;
+    status.slowBurnRate = b.slow;
+    status.alert = b.alert;
     return status;
 }
 
 void
-SloTracker::publishTenant(const std::string &tenant,
-                          const TierSlo &ts)
+SloTracker::publishTenant(const std::string &tenant, TierSlo &ts)
 {
     if (metrics_ == nullptr || !metricsEnabled())
         return;
-    TenantSloStatus status = evaluateTenant(tenant, ts);
-    Labels labels = {{"tenant", tenant}};
-    metrics_
-        ->gauge("tt_tenant_slo_events_total", labels,
-                "Requests accounted against the tenant's SLO")
-        .set(static_cast<double>(status.events));
-    metrics_
-        ->gauge("tt_tenant_slo_bad_total", labels,
-                "Tenant requests that spent error budget")
-        .set(static_cast<double>(status.bad));
-    metrics_
-        ->gauge("tt_tenant_burn_rate_fast", labels,
-                "Tenant error-budget burn over the fast window")
-        .set(status.fastBurnRate);
-    metrics_
-        ->gauge("tt_tenant_burn_rate_slow", labels,
-                "Tenant error-budget burn over the slow window")
-        .set(status.slowBurnRate);
-    metrics_
-        ->gauge("tt_tenant_alert_level", labels,
-                "Tenant multiwindow alert severity (0 none, "
-                "1 ticket, 2 page)")
-        .set(static_cast<double>(status.alert));
+    Gauges &g = ts.gauges;
+    if (g.events == nullptr) {
+        Labels labels = {{"tenant", tenant}};
+        g.events = &metrics_->gauge(
+            "tt_tenant_slo_events_total", labels,
+            "Requests accounted against the tenant's SLO");
+        g.bad = &metrics_->gauge(
+            "tt_tenant_slo_bad_total", labels,
+            "Tenant requests that spent error budget");
+        g.burnFast = &metrics_->gauge(
+            "tt_tenant_burn_rate_fast", labels,
+            "Tenant error-budget burn over the fast window");
+        g.burnSlow = &metrics_->gauge(
+            "tt_tenant_burn_rate_slow", labels,
+            "Tenant error-budget burn over the slow window");
+        g.alert = &metrics_->gauge(
+            "tt_tenant_alert_level", labels,
+            "Tenant multiwindow alert severity (0 none, "
+            "1 ticket, 2 page)");
+    }
+    Burn b = burn(ts);
+    g.events->set(static_cast<double>(ts.events));
+    g.bad->set(static_cast<double>(ts.bad));
+    g.burnFast->set(b.fast);
+    g.burnSlow->set(b.slow);
+    g.alert->set(static_cast<double>(b.alert));
 }
 
 SloStatus

@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -43,6 +42,7 @@
 
 namespace toltiers::obs {
 
+class Gauge;
 class Registry;
 
 /** Budget policy for one tier (or the tracker-wide default). */
@@ -108,8 +108,10 @@ struct TenantSloStatus
 
 /**
  * Sliding-window error-budget tracker for every installed tier.
- * All calls are thread-safe; record() is a deque push plus counter
- * updates under one mutex, cheap enough for the serving path.
+ * All calls are thread-safe; record() is a ring-buffer push plus
+ * gauge updates under one mutex, cheap enough for the serving path
+ * (each tier's and tenant's gauge handles are resolved on its first
+ * publish, and a warm record() allocates nothing).
  */
 class SloTracker
 {
@@ -130,7 +132,7 @@ class SloTracker
     /**
      * Mirror every tier's tt_slo_* series into `registry` on each
      * record() / installTier(). Pass nullptr to detach. The
-     * registry must outlive the tracker.
+     * registry must outlive the tracker (it caches handles).
      */
     void attachMetrics(Registry *registry);
 
@@ -161,30 +163,37 @@ class SloTracker
     std::size_t alertCount() const;
 
   private:
+    /** The last `capacity` events (true = bad) in a ring that is
+     * sized once per capacity, so a warm push never allocates. */
     struct Window
     {
-        std::deque<bool> events; //!< true = bad.
+        std::vector<bool> ring;
+        std::size_t head = 0; //!< Oldest event once full.
+        std::size_t size = 0;
         std::uint64_t bad = 0;
 
-        void
-        push(bool is_bad, std::size_t capacity)
-        {
-            events.push_back(is_bad);
-            bad += is_bad ? 1 : 0;
-            while (events.size() > capacity) {
-                bad -= events.front() ? 1 : 0;
-                events.pop_front();
-            }
-        }
+        void push(bool is_bad, std::size_t capacity);
 
         double
         badFraction() const
         {
-            if (events.empty())
+            if (size == 0)
                 return 0.0;
             return static_cast<double>(bad) /
-                   static_cast<double>(events.size());
+                   static_cast<double>(size);
         }
+    };
+
+    /** The gauge handles of one tier or tenant (null until its
+     * first publish with metrics attached). */
+    struct Gauges
+    {
+        Gauge *events = nullptr;
+        Gauge *bad = nullptr;
+        Gauge *burnFast = nullptr;
+        Gauge *burnSlow = nullptr;
+        Gauge *budgetRemaining = nullptr; //!< Tiers only.
+        Gauge *alert = nullptr;
     };
 
     struct TierSlo
@@ -194,16 +203,26 @@ class SloTracker
         Window slow;
         std::uint64_t events = 0;
         std::uint64_t bad = 0;
+        Gauges gauges;
     };
 
     using Key = std::pair<std::string, double>;
 
+    /** Burn rates and alert of one window pair. */
+    struct Burn
+    {
+        double fast = 0.0;
+        double slow = 0.0;
+        SloAlert alert = SloAlert::None;
+    };
+
+    static Burn burn(const TierSlo &ts);
+    static void push(TierSlo &ts, bool good);
     SloStatus evaluate(const Key &key, const TierSlo &ts) const;
-    void publish(const Key &key, const TierSlo &ts);
+    void publish(const Key &key, TierSlo &ts);
     TenantSloStatus evaluateTenant(const std::string &tenant,
                                    const TierSlo &ts) const;
-    void publishTenant(const std::string &tenant,
-                       const TierSlo &ts);
+    void publishTenant(const std::string &tenant, TierSlo &ts);
 
     mutable std::mutex mu_;
     std::map<Key, TierSlo> tiers_;

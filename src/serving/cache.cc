@@ -11,13 +11,6 @@ namespace {
 
 constexpr double kTolEps = 1e-12;
 
-/** The registry handle for one tt_cache_* counter. */
-obs::Counter &
-cacheCounter(obs::Registry &reg, const char *name, const char *help)
-{
-    return reg.counter(name, {}, help);
-}
-
 } // namespace
 
 CacheFingerprint
@@ -46,8 +39,7 @@ cacheEntryBytes(const CachedResult &result)
 }
 
 ResultCache::ResultCache(CacheConfig cfg)
-    : capacityBytes_(cfg.capacityBytes), ttlSeconds_(cfg.ttlSeconds),
-      metrics_(cfg.metrics)
+    : capacityBytes_(cfg.capacityBytes), ttlSeconds_(cfg.ttlSeconds)
 {
     TT_ASSERT(capacityBytes_ > 0,
               "result cache needs a positive byte budget");
@@ -58,32 +50,36 @@ ResultCache::ResultCache(CacheConfig cfg)
         shards_.push_back(std::make_unique<Shard>());
     shardBudget_ = std::max<std::size_t>(1, capacityBytes_ / shards);
 
-    if (metrics_ != nullptr) {
-        // Pre-register so an idle cache exports zeroed series.
-        cacheCounter(*metrics_, "tt_cache_lookups_total",
-                     "Result-cache lookups (hits + misses)");
-        cacheCounter(*metrics_, "tt_cache_hits_total",
-                     "Result-cache hits served");
-        cacheCounter(*metrics_, "tt_cache_misses_total",
-                     "Result-cache misses");
-        cacheCounter(*metrics_, "tt_cache_tolerance_rejects_total",
-                     "Misses caused by a stored tolerance bound "
-                     "above the request's tolerance");
-        cacheCounter(*metrics_, "tt_cache_insertions_total",
-                     "Entries inserted into the result cache");
-        cacheCounter(*metrics_, "tt_cache_evictions_total",
-                     "Entries evicted by the byte budget");
-        cacheCounter(*metrics_, "tt_cache_expired_total",
-                     "Entries removed by TTL expiry");
-        cacheCounter(*metrics_, "tt_cache_replacements_total",
-                     "Entries overwritten by a re-insert");
-        cacheCounter(*metrics_, "tt_cache_oversized_total",
-                     "Inserts skipped because one entry exceeded "
-                     "a whole shard's byte budget");
-        metrics_->gauge("tt_cache_bytes", {},
-                        "Resident result-cache bytes");
-        metrics_->gauge("tt_cache_entries", {},
-                        "Resident result-cache entries");
+    if (cfg.metrics != nullptr) {
+        // Pre-register so an idle cache exports zeroed series; the
+        // serving path then only updates these handles.
+        obs::Registry &reg = *cfg.metrics;
+        auto mirror = [&](obs::MirroredCounter &c, const char *name,
+                          const char *help) {
+            c.exported = &reg.counter(name, {}, help);
+        };
+        mirror(lookups_, "tt_cache_lookups_total",
+               "Result-cache lookups (hits + misses)");
+        mirror(hits_, "tt_cache_hits_total", "Result-cache hits served");
+        mirror(misses_, "tt_cache_misses_total", "Result-cache misses");
+        mirror(toleranceRejects_, "tt_cache_tolerance_rejects_total",
+               "Misses caused by a stored tolerance bound "
+               "above the request's tolerance");
+        mirror(insertions_, "tt_cache_insertions_total",
+               "Entries inserted into the result cache");
+        mirror(evictions_, "tt_cache_evictions_total",
+               "Entries evicted by the byte budget");
+        mirror(expirations_, "tt_cache_expired_total",
+               "Entries removed by TTL expiry");
+        mirror(replacements_, "tt_cache_replacements_total",
+               "Entries overwritten by a re-insert");
+        mirror(oversized_, "tt_cache_oversized_total",
+               "Inserts skipped because one entry exceeded "
+               "a whole shard's byte budget");
+        bytesGauge_ =
+            &reg.gauge("tt_cache_bytes", {}, "Resident result-cache bytes");
+        entriesGauge_ = &reg.gauge("tt_cache_entries", {},
+                                   "Resident result-cache entries");
     }
 }
 
@@ -107,8 +103,6 @@ ResultCache::lookup(const CacheFingerprint &key,
                     double request_tolerance, CachedResult &out)
 {
     lookups_.inc();
-    if (metrics_ != nullptr)
-        cacheCounter(*metrics_, "tt_cache_lookups_total", "").inc();
 
     Shard &shard = shardFor(key);
     double now = clock_.seconds();
@@ -122,6 +116,8 @@ ResultCache::lookup(const CacheFingerprint &key,
             auto node = it->second;
             if (expired(*node, now)) {
                 shard.bytes -= node->bytes;
+                adjustResident(-static_cast<std::ptrdiff_t>(node->bytes),
+                               -1);
                 shard.map.erase(it);
                 shard.lru.erase(node);
                 expired_entry = true;
@@ -143,29 +139,14 @@ ResultCache::lookup(const CacheFingerprint &key,
 
     if (hit) {
         hits_.inc();
-        if (metrics_ != nullptr)
-            cacheCounter(*metrics_, "tt_cache_hits_total", "").inc();
         return true;
     }
     misses_.inc();
     if (tolerance_reject)
         toleranceRejects_.inc();
-    if (expired_entry)
+    if (expired_entry) {
         expirations_.inc();
-    if (metrics_ != nullptr) {
-        cacheCounter(*metrics_, "tt_cache_misses_total", "").inc();
-        if (tolerance_reject) {
-            cacheCounter(*metrics_,
-                         "tt_cache_tolerance_rejects_total", "")
-                .inc();
-        }
-        if (expired_entry) {
-            cacheCounter(*metrics_, "tt_cache_expired_total", "")
-                .inc();
-            // Residency changed; the all-shard walk is only paid
-            // when an expiry actually removed something.
-            updateGauges();
-        }
+        publishResident();
     }
     return false;
 }
@@ -176,9 +157,6 @@ ResultCache::insert(const CacheFingerprint &key, CachedResult result)
     std::size_t bytes = cacheEntryBytes(result);
     if (bytes > shardBudget_) {
         oversized_.inc();
-        if (metrics_ != nullptr)
-            cacheCounter(*metrics_, "tt_cache_oversized_total", "")
-                .inc();
         return;
     }
 
@@ -189,10 +167,16 @@ ResultCache::insert(const CacheFingerprint &key, CachedResult result)
     bool replaced = false;
     {
         common::MutexLock lock(shard.mu);
+        // Net change of this shard's residency, folded into the
+        // cache-wide running totals before the lock is released.
+        std::ptrdiff_t bytes_delta = static_cast<std::ptrdiff_t>(bytes);
+        std::ptrdiff_t entries_delta = 1;
         auto it = shard.map.find(key);
         if (it != shard.map.end()) {
             auto node = it->second;
             shard.bytes -= node->bytes;
+            bytes_delta -= static_cast<std::ptrdiff_t>(node->bytes);
+            --entries_delta;
             shard.lru.erase(node);
             shard.map.erase(it);
             replaced = true;
@@ -203,6 +187,8 @@ ResultCache::insert(const CacheFingerprint &key, CachedResult result)
                shard.bytes + bytes > shardBudget_) {
             auto victim = std::prev(shard.lru.end());
             shard.bytes -= victim->bytes;
+            bytes_delta -= static_cast<std::ptrdiff_t>(victim->bytes);
+            --entries_delta;
             shard.map.erase(victim->key);
             if (expired(*victim, now))
                 ++expired_count;
@@ -218,6 +204,7 @@ ResultCache::insert(const CacheFingerprint &key, CachedResult result)
         shard.lru.push_front(std::move(e));
         shard.map.emplace(key, shard.lru.begin());
         shard.bytes += bytes;
+        adjustResident(bytes_delta, entries_delta);
     }
 
     insertions_.inc();
@@ -227,24 +214,7 @@ ResultCache::insert(const CacheFingerprint &key, CachedResult result)
         evictions_.inc(static_cast<double>(evicted));
     if (expired_count > 0)
         expirations_.inc(static_cast<double>(expired_count));
-    if (metrics_ != nullptr) {
-        cacheCounter(*metrics_, "tt_cache_insertions_total", "")
-            .inc();
-        if (replaced) {
-            cacheCounter(*metrics_, "tt_cache_replacements_total",
-                         "")
-                .inc();
-        }
-        if (evicted > 0) {
-            cacheCounter(*metrics_, "tt_cache_evictions_total", "")
-                .inc(static_cast<double>(evicted));
-        }
-        if (expired_count > 0) {
-            cacheCounter(*metrics_, "tt_cache_expired_total", "")
-                .inc(static_cast<double>(expired_count));
-        }
-        updateGauges();
-    }
+    publishResident();
 }
 
 void
@@ -252,34 +222,37 @@ ResultCache::clear()
 {
     for (auto &shard : shards_) {
         common::MutexLock lock(shard->mu);
+        adjustResident(-static_cast<std::ptrdiff_t>(shard->bytes),
+                       -static_cast<std::ptrdiff_t>(shard->map.size()));
         shard->lru.clear();
         shard->map.clear();
         shard->bytes = 0;
     }
-    if (metrics_ != nullptr)
-        updateGauges();
+    publishResident();
 }
 
 void
-ResultCache::updateGauges() const
+ResultCache::adjustResident(std::ptrdiff_t bytes, std::ptrdiff_t entries)
 {
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-    for (const auto &shard : shards_) {
-        common::MutexLock lock(shard->mu);
-        entries += shard->map.size();
-        bytes += shard->bytes;
-    }
-    metrics_->gauge("tt_cache_bytes", {}, "")
-        .set(static_cast<double>(bytes));
-    metrics_->gauge("tt_cache_entries", {}, "")
-        .set(static_cast<double>(entries));
+    residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
+    residentEntries_.fetch_add(entries, std::memory_order_relaxed);
+}
+
+void
+ResultCache::publishResident() const
+{
+    if (bytesGauge_ == nullptr)
+        return;
+    bytesGauge_->set(static_cast<double>(
+        residentBytes_.load(std::memory_order_relaxed)));
+    entriesGauge_->set(static_cast<double>(
+        residentEntries_.load(std::memory_order_relaxed)));
 }
 
 CacheStats
 ResultCache::stats() const
 {
-    auto count = [](const obs::Counter &c) {
+    auto count = [](const obs::MirroredCounter &c) {
         return static_cast<std::uint64_t>(c.value() + 0.5);
     };
     CacheStats s;
@@ -292,11 +265,10 @@ ResultCache::stats() const
     s.expirations = count(expirations_);
     s.replacements = count(replacements_);
     s.oversized = count(oversized_);
-    for (const auto &shard : shards_) {
-        common::MutexLock lock(shard->mu);
-        s.entries += shard->map.size();
-        s.bytes += shard->bytes;
-    }
+    s.entries = static_cast<std::size_t>(
+        residentEntries_.load(std::memory_order_relaxed));
+    s.bytes = static_cast<std::size_t>(
+        residentBytes_.load(std::memory_order_relaxed));
     return s;
 }
 

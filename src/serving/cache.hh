@@ -43,6 +43,7 @@
 #ifndef TOLTIERS_SERVING_CACHE_HH
 #define TOLTIERS_SERVING_CACHE_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -237,7 +238,12 @@ class ResultCache
 
     Shard &shardFor(const CacheFingerprint &key);
     bool expired(const Entry &e, double now) const;
-    void updateGauges() const;
+    /** Fold a residency change into the running totals; called
+     * under the lock of the shard that changed. */
+    void adjustResident(std::ptrdiff_t bytes, std::ptrdiff_t entries);
+    /** Copy the running totals into the tt_cache_bytes/entries
+     * gauges (no-op without metrics). */
+    void publishResident() const;
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::size_t capacityBytes_;
@@ -245,18 +251,24 @@ class ResultCache
     double ttlSeconds_;
     common::Stopwatch clock_; //!< Monotonic TTL time base.
 
-    // Striped hot tallies; mirrored into metrics_ when attached.
-    obs::Counter lookups_;
-    obs::Counter hits_;
-    obs::Counter misses_;
-    obs::Counter toleranceRejects_;
-    obs::Counter insertions_;
-    obs::Counter evictions_;
-    obs::Counter expirations_;
-    obs::Counter replacements_;
-    obs::Counter oversized_;
+    // Striped hot tallies, mirrored into the tt_cache_* series
+    // when a registry is attached.
+    obs::MirroredCounter lookups_;
+    obs::MirroredCounter hits_;
+    obs::MirroredCounter misses_;
+    obs::MirroredCounter toleranceRejects_;
+    obs::MirroredCounter insertions_;
+    obs::MirroredCounter evictions_;
+    obs::MirroredCounter expirations_;
+    obs::MirroredCounter replacements_;
+    obs::MirroredCounter oversized_;
 
-    obs::Registry *metrics_ = nullptr;
+    /** Resident bytes / entries over all shards, kept exact by
+     * adjustResident() so no reader walks the shards. */
+    std::atomic<std::ptrdiff_t> residentBytes_{0};
+    std::atomic<std::ptrdiff_t> residentEntries_{0};
+    obs::Gauge *bytesGauge_ = nullptr;   //!< Null without metrics.
+    obs::Gauge *entriesGauge_ = nullptr; //!< Null without metrics.
 };
 
 /** Approximate resident size of one entry (key + payload + bookkeeping). */

@@ -2,29 +2,45 @@
  * @file
  * Unit tests for the observability subsystem: histogram bucket and
  * quantile math, metric registry behaviour, exporter round-trips,
- * trace span accounting, the guarantee monitor, and the tier
- * service's stage-timing / trace integration.
+ * trace span accounting, the guarantee monitor, the tier service's
+ * stage-timing / trace integration, and the exported-series
+ * contract of the whole instrumented serving stack (a golden dump
+ * plus an 8-thread variant).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 
+#include "asr/service.hh"
+#include "asr/versions.hh"
+#include "core/front_door.hh"
 #include "core/tier_service.hh"
+#include "dataset/speech_corpus.hh"
+#include "exec/pool.hh"
 #include "obs/export.hh"
 #include "obs/guarantee.hh"
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
 #include "obs/trace.hh"
+#include "serving/cache.hh"
+#include "serving/fault.hh"
+#include "serving/instance.hh"
 #include "serving/request.hh"
 #include "serving/service_version.hh"
+#include "serving/tenant.hh"
 
 namespace ob = toltiers::obs;
 namespace tc = toltiers::core;
 namespace sv = toltiers::serving;
+namespace ex = toltiers::exec;
 
 // -------------------------------------------------------------- histogram
 
@@ -668,6 +684,33 @@ TEST(Slo, ColdTierNeverAlerts)
               ob::SloAlert::None);
 }
 
+TEST(Slo, ReinstalledPolicyResizesWindowsKeepingNewestEvents)
+{
+    // Shrinking a window keeps its newest events; growing one keeps
+    // them all and fills up from there.
+    ob::SloTracker slo(testSloPolicy()); // budget 0.1, fast window 10
+    for (bool good : {false, true, true, false})
+        slo.record("cost", 0.05, good);
+    ob::SloPolicy narrow = testSloPolicy();
+    narrow.fastWindowEvents = 2;
+    slo.installTier("cost", 0.05, narrow);
+    slo.record("cost", 0.05, true); // fast window: bad, good
+    EXPECT_NEAR(slo.status("cost", 0.05).fastBurnRate, 5.0, 1e-9);
+    slo.record("cost", 0.05, true); // fast window: good, good
+    EXPECT_NEAR(slo.status("cost", 0.05).fastBurnRate, 0.0, 1e-9);
+
+    ob::SloPolicy wide = testSloPolicy();
+    wide.fastWindowEvents = 4;
+    slo.installTier("cost", 0.05, wide);
+    slo.record("cost", 0.05, false); // fast window: good, good, bad
+    auto st = slo.status("cost", 0.05);
+    EXPECT_NEAR(st.fastBurnRate, (1.0 / 3.0) / 0.1, 1e-9);
+    // The slow window (40 events) never filled: 3 bad of 7.
+    EXPECT_NEAR(st.slowBurnRate, (3.0 / 7.0) / 0.1, 1e-9);
+    EXPECT_EQ(st.events, 7u);
+    EXPECT_EQ(st.bad, 3u);
+}
+
 TEST(Slo, RecordingAutoInstallsAndExportsSeries)
 {
     ob::Registry reg;
@@ -851,4 +894,412 @@ TEST(TierServiceObs, CancelledRaceLoserIsMarkedInStages)
     // recorded busy time is the kill time.
     EXPECT_DOUBLE_EQ(resp.stages[1].startSeconds, 0.0);
     EXPECT_DOUBLE_EQ(resp.stages[1].latencySeconds, 0.1);
+}
+
+// ------------------------------------------- exported series contract
+//
+// The serving path resolves each registry handle once and caches it;
+// that must be invisible in the export. A scripted request sequence
+// through the weighted-fair front door and the fully instrumented
+// service is dumped series by series — name, labels, kind, value (or
+// histogram count, plus the sum for modeled-clock histograms) and the
+// request after which the series first appeared — and compared with a
+// committed golden (regenerate with TT_UPDATE_GOLDEN=1 ./obs_test).
+// The 8-thread variant races first-sight tenants and a first-call
+// version adapter against that lazy resolution; totals must be exact.
+
+namespace {
+
+/** The fault harness's dead backend: every attempt errors. */
+sv::FaultSchedule
+deadBackend()
+{
+    sv::FaultSpec spec;
+    spec.failureRate = 1.0;
+    return sv::FaultSchedule(spec);
+}
+
+tc::RoutingRule
+seriesRule(double tolerance, tc::PolicyKind kind, std::size_t primary,
+           std::size_t secondary)
+{
+    tc::RoutingRule r;
+    r.tolerance = tolerance;
+    r.cfg.kind = kind;
+    r.cfg.primary = primary;
+    r.cfg.secondary = secondary;
+    r.cfg.confidenceThreshold = 0.8;
+    return r;
+}
+
+/** One scripted front-door submission. */
+struct Scripted
+{
+    std::string tenant;
+    sv::Objective objective = sv::Objective::ResponseTime;
+    double tolerance = 0.0;
+    std::size_t payload = 0;
+    double batchWaitSeconds = 0.0;
+};
+
+/**
+ * Every component that records into a registry, wired as deployed:
+ * a ladder of fake versions (one behind the fault harness, failing
+ * every attempt), rules for both objectives, retries and hedging, a
+ * result cache, the guarantee monitor, the SLO tracker and a
+ * weighted-fair front door. An optional `extra` version leads the
+ * ladder and serves a cost tier of its own (tolerance 0.04).
+ */
+struct SeriesStack
+{
+    explicit SeriesStack(std::size_t pool_threads,
+                         const sv::ServiceVersion *extra = nullptr)
+        : cache(cacheConfig(&registry)),
+          service(ladder(extra)), pool(pool_threads)
+    {
+        const std::size_t b = extra != nullptr ? 1 : 0;
+        using K = tc::PolicyKind;
+        service.setRules(
+            sv::Objective::ResponseTime,
+            {seriesRule(0.05, K::Sequential, b + 0, b + 3),
+             seriesRule(0.08, K::Sequential, b + 1, b + 3),
+             seriesRule(0.10, K::Single, b + 2, b + 2)});
+        std::vector<tc::RoutingRule> cost = {
+            seriesRule(0.02, K::Single, b + 0, b + 0)};
+        if (extra != nullptr)
+            cost.push_back(seriesRule(0.04, K::Single, 0, 0));
+        service.setRules(sv::Objective::Cost, cost);
+        service.setVersionProfiles({{b + 0, 0.02, 0.125, 0.001},
+                                    {b + 1, 0.04, 0.0625, 0.0005},
+                                    {b + 2, 0.01, 0.03125, 0.0002},
+                                    {b + 3, 0.0, 0.5, 0.01}});
+        tc::ResiliencePolicy resilience;
+        resilience.maxRetries = 1;
+        resilience.hedgeDelaySeconds = 0.3; // Hedges `accurate`.
+        service.setResilience(resilience);
+        service.setCache(&cache);
+        slo.attachMetrics(&registry);
+        service.attachObservability(
+            {&registry, nullptr, &monitor, &slo});
+
+        tc::FrontDoorConfig cfg;
+        cfg.pool = &pool;
+        cfg.metrics = &registry;
+        cfg.tenantPolicy = &policy;
+        door = std::make_unique<tc::TierFrontDoor>(service, cfg);
+    }
+
+    static sv::CacheConfig
+    cacheConfig(ob::Registry *metrics)
+    {
+        sv::CacheConfig cfg;
+        cfg.metrics = metrics;
+        return cfg;
+    }
+
+    std::vector<const sv::ServiceVersion *>
+    ladder(const sv::ServiceVersion *extra) const
+    {
+        std::vector<const sv::ServiceVersion *> out;
+        if (extra != nullptr)
+            out.push_back(extra);
+        for (const sv::ServiceVersion *v :
+             {static_cast<const sv::ServiceVersion *>(&fast),
+              static_cast<const sv::ServiceVersion *>(&unsure),
+              static_cast<const sv::ServiceVersion *>(&flaky),
+              static_cast<const sv::ServiceVersion *>(&accurate)})
+            out.push_back(v);
+        return out;
+    }
+
+    static sv::ServiceRequest
+    request(const Scripted &s)
+    {
+        sv::ServiceRequest req;
+        req.payload = s.payload;
+        req.tenant = s.tenant;
+        req.tier.objective = s.objective;
+        req.tier.tolerance = s.tolerance;
+        req.batchWaitSeconds = s.batchWaitSeconds;
+        return req;
+    }
+
+    tc::TierResponse
+    submit(const Scripted &s)
+    {
+        auto ticket = door->submit(request(s));
+        EXPECT_NE(ticket, tc::TierFrontDoor::kRejected);
+        return door->wait(ticket);
+    }
+
+    void
+    submitBatch(const std::vector<Scripted> &batch)
+    {
+        std::vector<sv::ServiceRequest> reqs;
+        for (const Scripted &s : batch)
+            reqs.push_back(request(s));
+        for (auto ticket : door->submitBatch(std::move(reqs))) {
+            EXPECT_NE(ticket, tc::TierFrontDoor::kRejected);
+            (void)door->wait(ticket);
+        }
+    }
+
+    FakeVersion fast{"fast", 0.125, 0.001, 0.9};
+    FakeVersion unsure{"unsure", 0.0625, 0.0005, 0.4};
+    FakeVersion flakyBackend{"flaky", 0.03125, 0.0002, 0.9};
+    sv::FaultyServiceVersion flaky{flakyBackend, deadBackend()};
+    FakeVersion accurate{"accurate", 0.5, 0.01, 0.99};
+    ob::Registry registry;
+    ob::GuaranteeMonitor monitor;
+    ob::SloTracker slo;
+    sv::ResultCache cache;
+    tc::TierService service;
+    sv::TenantPolicy policy;
+    ex::ThreadPool pool;
+    std::unique_ptr<tc::TierFrontDoor> door;
+};
+
+/** Histograms on the modeled clock: their sums are deterministic. */
+bool
+modeledHistogram(const ob::SeriesSnapshot &s)
+{
+    if (s.name == "tt_tier_latency_seconds" ||
+        s.name == "tt_tier_cost_dollars")
+        return true;
+    if (s.name != "tt_stage_seconds")
+        return false;
+    for (const auto &[key, value] : s.labels) {
+        if (key == "stage")
+            return value == "execute" || value == "retry-backoff" ||
+                   value == "hedge-overlap";
+    }
+    return false;
+}
+
+std::string
+seriesKey(const ob::SeriesSnapshot &s)
+{
+    return s.name + "{" + ob::labelsKey(s.labels) + "} " +
+           ob::metricKindName(s.kind);
+}
+
+/** `name{labels} kind value`: the counter/gauge value, or a
+ * histogram's count (and sum when on the modeled clock). */
+std::string
+seriesLine(const ob::SeriesSnapshot &s)
+{
+    char buf[96];
+    if (s.kind != ob::MetricKind::Histogram) {
+        std::snprintf(buf, sizeof(buf), " %.17g", s.value);
+    } else if (modeledHistogram(s)) {
+        std::snprintf(buf, sizeof(buf), " count=%llu sum=%.17g",
+                      static_cast<unsigned long long>(s.hist.count),
+                      s.hist.sum);
+    } else {
+        std::snprintf(buf, sizeof(buf), " count=%llu",
+                      static_cast<unsigned long long>(s.hist.count));
+    }
+    return seriesKey(s) + buf;
+}
+
+/** The golden script: hits and misses, one escalation (to the
+ * hedged reference version), one dead-backend fallback, two named
+ * tenants plus the anonymous one, both objectives, the implicit
+ * reference tiers, and a batch crossing the batch-wait stage. */
+const std::vector<Scripted> &
+goldenScript()
+{
+    using O = sv::Objective;
+    static const std::vector<Scripted> script = {
+        {"alpha", O::ResponseTime, 0.05, 2}, // miss, confident
+        {"alpha", O::ResponseTime, 0.05, 2}, // hit
+        {"beta", O::ResponseTime, 0.08, 3},  // miss, escalates
+        {"beta", O::ResponseTime, 0.09, 3},  // hit, 0.08 bucket
+        {"", O::Cost, 0.02, 4},              // miss, anonymous
+        {"alpha", O::Cost, 0.03, 4},         // hit across tenants
+        {"beta", O::ResponseTime, 0.10, 5},  // retried, falls back
+        {"alpha", O::ResponseTime, 0.0, 6},  // reference tier miss
+        {"alpha", O::ResponseTime, 0.0, 6},  // reference tier hit
+        {"", O::Cost, 0.0, 7},               // cost reference tier
+    };
+    return script;
+}
+
+const std::vector<Scripted> &
+goldenBatch()
+{
+    using O = sv::Objective;
+    static const std::vector<Scripted> batch = {
+        {"alpha", O::ResponseTime, 0.05, 8, 0.001},
+        {"beta", O::ResponseTime, 0.05, 2},
+    };
+    return batch;
+}
+
+} // namespace
+
+TEST(SeriesContract, ScriptedSequenceMatchesGolden)
+{
+    SeriesStack stack(0); // Worker-less: the door serves inline.
+
+    // Series identity -> (line, step after which it first showed).
+    std::map<std::string, std::pair<std::string, std::size_t>> seen;
+    auto observe = [&](std::size_t step) {
+        for (const ob::SeriesSnapshot &s : stack.registry.snapshot()) {
+            auto [it, fresh] =
+                seen.try_emplace(seriesKey(s), seriesLine(s), step);
+            if (!fresh)
+                it->second.first = seriesLine(s);
+        }
+    };
+    observe(0);
+    std::size_t step = 0;
+    for (const Scripted &s : goldenScript()) {
+        (void)stack.submit(s);
+        observe(++step);
+    }
+    stack.submitBatch(goldenBatch());
+    observe(++step);
+
+    auto stats = stack.door->stats();
+    EXPECT_EQ(stats.fellBack, 1u);
+    EXPECT_EQ(stack.cache.stats().hits, 5u);
+
+    std::string dump;
+    for (const auto &[key, entry] : seen) {
+        dump += entry.first + " first=" +
+                std::to_string(entry.second) + "\n";
+    }
+
+    const std::string path =
+        std::string(TT_GOLDEN_DIR) + "/telemetry_series.txt";
+    if (std::getenv("TT_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream(path) << dump;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good())
+        << "missing golden " << path
+        << " — regenerate with TT_UPDATE_GOLDEN=1 ./obs_test";
+    std::stringstream golden;
+    golden << in.rdbuf();
+
+    std::istringstream want(golden.str());
+    std::istringstream got(dump);
+    std::string w, g;
+    std::size_t line = 0;
+    while (true) {
+        bool more_w = static_cast<bool>(std::getline(want, w));
+        bool more_g = static_cast<bool>(std::getline(got, g));
+        ++line;
+        if (!more_w && !more_g)
+            break;
+        ASSERT_EQ(more_w ? w : "<end>", more_g ? g : "<end>")
+            << "first difference at line " << line;
+    }
+}
+
+TEST(SeriesContract, EightThreadFirstSightTotalsAreExact)
+{
+    // A real version adapter, so its lazily resolved
+    // tt_inference_wall_seconds handle races too. Each stack gets a
+    // fresh adapter (unresolved handle) over the same engine.
+    toltiers::asr::AsrWorld world;
+    toltiers::dataset::SpeechCorpusConfig corpus_cfg;
+    corpus_cfg.utterances = 100; // The fake versions' workload size.
+    auto corpus = toltiers::dataset::buildSpeechCorpus(world, corpus_cfg);
+    toltiers::asr::AsrEngine engine(world,
+                                    toltiers::asr::paretoVersions()[0]);
+    sv::InstanceCatalog catalog;
+    const ob::Labels adapter_labels = {{"service", "asr"},
+                                       {"version", engine.name()}};
+    auto adapterCalls = [&] {
+        for (const auto &s : ob::Registry::global().snapshot()) {
+            if (s.name == "tt_inference_wall_seconds" &&
+                ob::labelsKey(s.labels) ==
+                    ob::labelsKey(adapter_labels))
+                return s.hist.count;
+        }
+        return std::uint64_t{0};
+    };
+
+    // Thread t owns payloads 10t+1..10t+6 (so its hits and misses do
+    // not depend on the interleaving) and shares tenant t%4 with one
+    // other thread, so every tenant is first seen by two racers.
+    constexpr std::size_t kThreads = 8;
+    auto script = [](std::size_t t) {
+        using O = sv::Objective;
+        std::string tenant = "tenant-" + std::to_string(t % 4);
+        std::size_t p = 10 * t;
+        std::vector<Scripted> out;
+        for (int round = 0; round < 2; ++round) {
+            out.push_back({tenant, O::ResponseTime, 0.05, p + 1});
+            out.push_back({tenant, O::ResponseTime, 0.08, p + 2});
+            out.push_back({tenant, O::Cost, 0.04, p + 3});
+            out.push_back({tenant, O::ResponseTime, 0.10, p + 4});
+            out.push_back({tenant, O::ResponseTime, 0.0, p + 5});
+            out.push_back({tenant, O::Cost, 0.02, p + 6});
+        }
+        return out;
+    };
+
+    toltiers::asr::AsrServiceVersion serial_adapter(
+        engine, corpus, catalog.get("cpu-small"));
+    SeriesStack serial(0, &serial_adapter);
+    std::uint64_t calls_before = adapterCalls();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        for (const Scripted &s : script(t))
+            (void)serial.submit(s);
+    }
+    std::uint64_t serial_calls = adapterCalls() - calls_before;
+
+    toltiers::asr::AsrServiceVersion racing_adapter(
+        engine, corpus, catalog.get("cpu-small"));
+    SeriesStack racing(4, &racing_adapter);
+    calls_before = adapterCalls();
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (const Scripted &s : script(t))
+                (void)racing.submit(s);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    racing.door->drain();
+    EXPECT_EQ(adapterCalls() - calls_before, serial_calls);
+#if TOLTIERS_OBS_ENABLED
+    EXPECT_GT(serial_calls, 0u); // Adapters record only when built in.
+#endif
+
+    auto serial_series = serial.registry.snapshot();
+    auto racing_series = racing.registry.snapshot();
+    ASSERT_EQ(serial_series.size(), racing_series.size());
+    for (std::size_t i = 0; i < serial_series.size(); ++i) {
+        const ob::SeriesSnapshot &want = serial_series[i];
+        const ob::SeriesSnapshot &got = racing_series[i];
+        ASSERT_EQ(seriesKey(want), seriesKey(got));
+        // The resident-size gauges publish a snapshot per insert, so
+        // under concurrency the last writer may lag the cache; the
+        // cache's own accounting is compared below instead.
+        if (want.name == "tt_cache_bytes" ||
+            want.name == "tt_cache_entries")
+            continue;
+        if (want.kind != ob::MetricKind::Histogram) {
+            EXPECT_EQ(want.value, got.value) << seriesKey(want);
+            continue;
+        }
+        EXPECT_EQ(want.hist.count, got.hist.count) << seriesKey(want);
+        if (modeledHistogram(want)) {
+            EXPECT_NEAR(want.hist.sum, got.hist.sum,
+                        1e-9 * std::max(1.0, want.hist.sum))
+                << seriesKey(want);
+        }
+    }
+    auto serial_cache = serial.cache.stats();
+    auto racing_cache = racing.cache.stats();
+    EXPECT_EQ(serial_cache.hits, racing_cache.hits);
+    EXPECT_EQ(serial_cache.misses, racing_cache.misses);
+    EXPECT_EQ(serial_cache.entries, racing_cache.entries);
+    EXPECT_EQ(serial_cache.bytes, racing_cache.bytes);
 }
