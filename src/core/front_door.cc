@@ -185,20 +185,21 @@ TierFrontDoor::submit(serving::ServiceRequest request)
     if (ticket == kRejected)
         return kRejected;
 
-    // The trace (when sampled) starts at admission so the queue
-    // wait is part of the request's span tree; the pool lambda
-    // must stay copyable, hence the shared_ptr carrier.
-    std::shared_ptr<obs::Trace> trace;
-    if (tracer_ != nullptr && tracer_->shouldSample())
-        trace = std::make_shared<obs::Trace>(tracer_->startTrace());
-    std::string tenant = request.tenant;
+    TierResponse hit;
+    Pending pending;
+    if (lookupAtAdmission(request, hit, pending)) {
+        complete(slot, std::move(hit), request.tenant);
+        return ticket;
+    }
+    // The pool lambda must stay copyable, hence the shared_ptr
+    // trace carrier inside Pending.
+    pending.request = std::move(request);
+    std::string tenant = pending.request.tenant;
     dispatchOrQueue(
         tenant, 1,
-        [this, slot, request = std::move(request), trace,
-         queued = common::Stopwatch()]() mutable {
-            complete(slot,
-                     serveAdmitted(request, trace, queued.seconds()),
-                     request.tenant);
+        [this, slot, pending = std::move(pending)]() mutable {
+            complete(slot, executePending(pending),
+                     pending.request.tenant);
         },
         /*inline_when_workerless=*/false);
     return ticket;
@@ -213,22 +214,18 @@ TierFrontDoor::submitAsync(serving::ServiceRequest request,
     if (!claimCapacity(request))
         return false;
 
-    std::shared_ptr<obs::Trace> trace;
-    if (tracer_ != nullptr && tracer_->shouldSample())
-        trace = std::make_shared<obs::Trace>(tracer_->startTrace());
-    std::string tenant = request.tenant;
-    auto serve = [this, request = std::move(request),
-                  done = std::move(done), trace,
-                  queued = common::Stopwatch()]() mutable {
-        TierResponse response =
-            serveAdmitted(request, trace, queued.seconds());
-        account(response, request.tenant);
-        // The hook is this request's collector: it receives the
-        // produced-and-accounted response exactly once, before the
-        // capacity slot frees (so drain() still covers delivery).
-        done(response);
-        collected_.inc();
-        finishOne();
+    TierResponse hit;
+    Pending pending;
+    if (lookupAtAdmission(request, hit, pending)) {
+        deliver(hit, request.tenant, done);
+        return true;
+    }
+    pending.request = std::move(request);
+    std::string tenant = pending.request.tenant;
+    auto serve = [this, pending = std::move(pending),
+                  done = std::move(done)]() mutable {
+        deliver(executePending(pending), pending.request.tenant,
+                done);
     };
     // A worker-less pool (exec::ThreadPool(0/1)) only runs tasks
     // when someone waits on them — and the push-style caller never
@@ -239,6 +236,59 @@ TierFrontDoor::submitAsync(serving::ServiceRequest request,
     dispatchOrQueue(tenant, 1, std::move(serve),
                     /*inline_when_workerless=*/true);
     return true;
+}
+
+bool
+TierFrontDoor::lookupAtAdmission(const serving::ServiceRequest &request,
+                                 TierResponse &hit, Pending &pending)
+{
+    // One sampling decision per request, taken here so a hit's
+    // spans can be recorded inline.
+    obs::Tracer *tracer = originTracer();
+    obs::TraceContext span_ctx;
+    if (tracer != nullptr && tracer->shouldSample()) {
+        pending.trace = std::make_shared<obs::Trace>(tracer->startTrace());
+        pending.root = pending.trace->addSpan("request", 0.0, 0.0);
+        span_ctx = {pending.trace.get(), pending.root, 0.0};
+    }
+    pending.waited = pending.queued.seconds();
+    // A hit's service spans follow the door's (added below, once
+    // the lookup has hit); a miss records no span here.
+    if (span_ctx.active() && tracer_ != nullptr)
+        span_ctx.offset = pending.waited + request.batchWaitSeconds;
+    if (!service_.lookup(request, span_ctx, hit, pending.looked)) {
+        pending.queued = common::Stopwatch();
+        return false;
+    }
+    recordWait(request, pending.waited);
+    if (pending.trace) {
+        if (tracer_ != nullptr) {
+            (void)addDoorSpans(*pending.trace, pending.root, request,
+                               pending.waited);
+        }
+        tracer->finish(std::move(*pending.trace));
+    }
+    return true;
+}
+
+TierResponse
+TierFrontDoor::executePending(Pending &pending) const
+{
+    double wait = pending.waited + pending.queued.seconds();
+    recordWait(pending.request, wait);
+    if (!pending.trace) {
+        return service_.execute(pending.request, pending.looked,
+                                obs::TraceContext{});
+    }
+    double offset = tracer_ != nullptr
+                        ? addDoorSpans(*pending.trace, pending.root,
+                                       pending.request, wait)
+                        : 0.0;
+    TierResponse resp = service_.execute(
+        pending.request, pending.looked,
+        {pending.trace.get(), pending.root, offset});
+    originTracer()->finish(std::move(*pending.trace));
+    return resp;
 }
 
 std::vector<TierFrontDoor::Ticket>
@@ -312,23 +362,7 @@ TierFrontDoor::serveAdmitted(const serving::ServiceRequest &request,
                              const std::shared_ptr<obs::Trace> &trace,
                              double queue_wait) const
 {
-    if (metrics_ != nullptr && obs::metricsEnabled()) {
-        mQueueWait_->observe(queue_wait);
-        stageAdmission_
-            .get([&]() -> obs::Histogram & {
-                return obs::stageHistogram(*metrics_,
-                                           obs::stage::kAdmission);
-            })
-            .observe(queue_wait);
-        if (request.batchWaitSeconds > 0.0) {
-            stageBatchWait_
-                .get([&]() -> obs::Histogram & {
-                    return obs::stageHistogram(
-                        *metrics_, obs::stage::kBatchWait);
-                })
-                .observe(request.batchWaitSeconds);
-        }
-    }
+    recordWait(request, queue_wait);
     if (!trace) {
         // With a tracer attached, the door already consumed this
         // request's (negative) sampling decision; pass an inactive
@@ -341,24 +375,55 @@ TierFrontDoor::serveAdmitted(const serving::ServiceRequest &request,
     }
 
     // Originate the span tree: root `request` span (duration
-    // patched by the tier service), wall-clock admission span, and
-    // the batcher's measured wait when the request crossed one.
+    // patched by the tier service) and the door's wall-clock spans.
     // Everything downstream nests under the propagated context.
     std::uint64_t root = trace->addSpan("request", 0.0, 0.0);
-    std::uint64_t adm =
-        trace->addSpan("admission", 0.0, queue_wait, root);
-    trace->annotate(adm, "clock", "wall");
-    double offset = queue_wait;
-    if (request.batchWaitSeconds > 0.0) {
-        std::uint64_t bw = trace->addSpan(
-            "batch_wait", offset, request.batchWaitSeconds, root);
-        trace->annotate(bw, "clock", "wall");
-        offset += request.batchWaitSeconds;
-    }
+    double offset = addDoorSpans(*trace, root, request, queue_wait);
     obs::TraceContext span_ctx{trace.get(), root, offset};
     TierResponse resp = service_.handle(request, span_ctx);
     tracer_->finish(std::move(*trace));
     return resp;
+}
+
+void
+TierFrontDoor::recordWait(const serving::ServiceRequest &request,
+                          double queue_wait) const
+{
+    if (metrics_ == nullptr || !obs::metricsEnabled())
+        return;
+    mQueueWait_->observe(queue_wait);
+    stageAdmission_
+        .get([&]() -> obs::Histogram & {
+            return obs::stageHistogram(*metrics_,
+                                       obs::stage::kAdmission);
+        })
+        .observe(queue_wait);
+    if (request.batchWaitSeconds > 0.0) {
+        stageBatchWait_
+            .get([&]() -> obs::Histogram & {
+                return obs::stageHistogram(*metrics_,
+                                           obs::stage::kBatchWait);
+            })
+            .observe(request.batchWaitSeconds);
+    }
+}
+
+double
+TierFrontDoor::addDoorSpans(obs::Trace &trace, std::uint64_t root,
+                            const serving::ServiceRequest &request,
+                            double queue_wait)
+{
+    std::uint64_t adm =
+        trace.addSpan("admission", 0.0, queue_wait, root);
+    trace.annotate(adm, "clock", "wall");
+    double offset = queue_wait;
+    if (request.batchWaitSeconds > 0.0) {
+        std::uint64_t bw = trace.addSpan(
+            "batch_wait", offset, request.batchWaitSeconds, root);
+        trace.annotate(bw, "clock", "wall");
+        offset += request.batchWaitSeconds;
+    }
+    return offset;
 }
 
 void
@@ -409,6 +474,20 @@ TierFrontDoor::complete(const std::shared_ptr<Slot> &slot,
     }
     slot->cv.notify_all();
 
+    finishOne();
+}
+
+void
+TierFrontDoor::deliver(const TierResponse &response,
+                       const std::string &tenant,
+                       const Completion &done)
+{
+    account(response, tenant);
+    // The hook is this request's collector: it receives the
+    // produced-and-accounted response exactly once, before the
+    // capacity slot frees (so drain() still covers delivery).
+    done(response);
+    collected_.inc();
     finishOne();
 }
 

@@ -15,6 +15,19 @@
  * (serving/batcher.hh) feeds, reporting per-batch wall latency
  * back through its completion hook for AIMD batch sizing.
  *
+ * Cache hits never reach the pool. Once submit() or submitAsync()
+ * has claimed quota and capacity, it runs the tier service's
+ * lookup half (TierService::lookup) on the submitting thread, the
+ * way Clipper checks its prediction cache before a request joins a
+ * queue. A hit is accounted and completed right there: its ticket
+ * is ready, or its completion has run, before the call returns.
+ * Only a miss is dispatched, carrying its Lookup, and the pool
+ * runs the execute half without looking it up again. A hit counts
+ * exactly as a pool-served response does (submitted, completed,
+ * collected, the tenant's quota and series) and records its
+ * measured, near-zero admission wait; it never enters the fair
+ * queue. submitBatch() keeps its whole-batch pool task.
+ *
  * Accounting is conservation-checked: every submitted request is
  * exactly one of rejected / completed, completed responses split
  * exactly into ok / fell-back / violation, and a violation is
@@ -41,13 +54,18 @@
  * The door is also the trace originator: with a Tracer attached,
  * each sampled request gets one trace whose root `request` span is
  * started here, an `admission` span covering the measured wall time
- * between admission and pool pickup (also recorded into
- * tt_frontdoor_queue_wait_seconds and the admission stage
- * histogram), a `batch_wait` span when the request crossed the
- * adaptive batcher, and a TraceContext handed to
- * TierService::handle so the tier chain's spans nest under the same
- * root — one connected span tree per request, front door to
- * resilience leg.
+ * the request waited between admission and its tier-chain work —
+ * the pool pickup for a miss, the cache lookup for a hit (also
+ * recorded into tt_frontdoor_queue_wait_seconds and the admission
+ * stage histogram) — a `batch_wait` span when the request crossed
+ * the adaptive batcher, and a TraceContext handed to the tier
+ * service so the tier chain's spans nest under the same root — one
+ * connected span tree per request, front door to resilience leg.
+ * A miss's wait excludes its own lookup, whose `rule_match` and
+ * `cache_lookup` spans follow `admission` in the tree as before.
+ * Without a door tracer, a tracer attached to the service samples
+ * at admission and originates the trace as TierService::handle()
+ * would.
  *
  * Thread safety: every method may be called from any thread.
  * handle() itself is const over immutable service state and its
@@ -141,8 +159,9 @@ class TierFrontDoor
 
     /**
      * Completion hook for one submitAsync request: invoked exactly
-     * once, on the serving pool thread, the moment the response is
-     * produced and accounted.
+     * once, the moment the response is produced and accounted — on
+     * the submitting thread for a cache hit, on the serving pool
+     * thread for a miss.
      */
     using Completion = std::function<void(const TierResponse &)>;
 
@@ -154,11 +173,13 @@ class TierFrontDoor
      * request. Admission, accounting, tracing, and metrics are
      * identical to submit(); a delivered response counts as
      * collected. Returns false when the bounded queue shed the
-     * request (`done` is not invoked). `done` must not throw and
-     * must not block on work that needs this door's pool. On a
-     * worker-less pool (exec::ThreadPool(0/1)) the request is
-     * served — and `done` invoked — inline on the calling thread,
-     * since a push-style caller never waits (and so never helps).
+     * request (`done` is not invoked). A cache hit invokes `done`
+     * on the calling thread before this returns. `done` must not
+     * throw and must not block on work that needs this door's
+     * pool. On a worker-less pool (exec::ThreadPool(0/1)) a miss is
+     * served — and `done` invoked — inline on the calling thread
+     * too, since a push-style caller never waits (and so never
+     * helps).
      */
     [[nodiscard]] bool submitAsync(serving::ServiceRequest request,
                                    Completion done);
@@ -230,6 +251,18 @@ class TierFrontDoor
         TierResponse response;
     };
 
+    /** An admitted request that missed the cache at admission: all
+     * its pool task needs to execute it. */
+    struct Pending
+    {
+        serving::ServiceRequest request;
+        TierService::Lookup looked;
+        std::shared_ptr<obs::Trace> trace; //!< Sampled requests only.
+        std::uint64_t root = 0;            //!< `trace`'s request span.
+        double waited = 0.0;       //!< Admission to the lookup.
+        common::Stopwatch queued;  //!< Started after the lookup.
+    };
+
     /** Count one submission, charge the tenant's quota (when a
      * policy is active), and claim a capacity slot; false means the
      * request was rejected or shed (and counted so, globally and
@@ -250,14 +283,42 @@ class TierFrontDoor
     /** Drain the fair queue onto the pool up to the dispatch
      * window; each dispatched item re-pumps on completion. */
     void pump();
-    /** Serve one admitted request on a pool thread: record the
-     * measured queue wait (admission stage), then run the tier
-     * chain — under `trace`'s root span when the request was
+    /** The tracer that samples submit()/submitAsync() requests:
+     * the door's own, else the service's (which then originates
+     * the trace as TierService::handle() would). */
+    obs::Tracer *
+    originTracer() const
+    {
+        return tracer_ != nullptr ? tracer_ : service_.tracer();
+    }
+    /** Run the tier service's lookup half for a just-admitted
+     * request on the calling thread (sampling its trace first). A
+     * hit records its admission wait and finishes its trace, fills
+     * `hit`, and returns true; a miss fills `pending` for the pool
+     * and returns false. */
+    bool lookupAtAdmission(const serving::ServiceRequest &request,
+                           TierResponse &hit, Pending &pending);
+    /** Serve a pending miss on a pool thread: record its admission
+     * wait, run the execute half, and finish its trace. */
+    TierResponse executePending(Pending &pending) const;
+    /** Serve one batched request on a pool thread: record the
+     * measured queue wait (admission stage), then run the whole
+     * tier chain — under `trace`'s root span when the request was
      * sampled (the trace is finished here). */
     TierResponse
     serveAdmitted(const serving::ServiceRequest &request,
                   const std::shared_ptr<obs::Trace> &trace,
                   double queue_wait) const;
+    /** The admission-wait histograms (queue wait, the admission and
+     * batch-wait stages); one sample per request. */
+    void recordWait(const serving::ServiceRequest &request,
+                    double queue_wait) const;
+    /** Add the door's wall-clock spans under `root` — `admission`
+     * over the wait, then `batch_wait` — and return the offset at
+     * which the tier service's spans begin. */
+    static double addDoorSpans(obs::Trace &trace, std::uint64_t root,
+                               const serving::ServiceRequest &request,
+                               double queue_wait);
     std::shared_ptr<Slot> findSlot(Ticket ticket) const;
     std::shared_ptr<Slot> takeSlot(Ticket ticket);
     /** Outcome accounting at production time (see file comment);
@@ -268,6 +329,10 @@ class TierFrontDoor
     void finishOne();
     void complete(const std::shared_ptr<Slot> &slot,
                   TierResponse response, const std::string &tenant);
+    /** complete() for a submitAsync request: account, hand the
+     * response to `done`, count it collected, release the slot. */
+    void deliver(const TierResponse &response,
+                 const std::string &tenant, const Completion &done);
 
     const TierService &service_;
     exec::ThreadPool &pool_;

@@ -429,70 +429,89 @@ TierResponse
 TierService::handle(const serving::ServiceRequest &request,
                     const obs::TraceContext &span_ctx) const
 {
+    TierResponse resp;
+    Lookup looked;
+    if (lookup(request, span_ctx, resp, looked))
+        return resp;
+    return execute(request, looked, span_ctx);
+}
+
+bool
+TierService::lookup(const serving::ServiceRequest &request,
+                    const obs::TraceContext &span_ctx,
+                    TierResponse &out, Lookup &looked) const
+{
     common::Stopwatch rule_match_sw;
-    const Match tier =
-        match(request.tier.tolerance, request.tier.objective);
-    double rule_match_wall = rule_match_sw.seconds();
+    looked.tier_ = match(request.tier.tolerance, request.tier.objective);
+    looked.ruleMatchWall_ = rule_match_sw.seconds();
+    if (cache_ == nullptr)
+        return false;
+    const RoutingRule &rule = *looked.tier_.rule;
+
+    // Cache lookup before tier-chain execution: the fingerprint is
+    // keyed by the *matched rule's* tolerance (the bucket), and the
+    // cache itself re-checks that the stored bound does not exceed
+    // the request's tolerance, so a hit never weakens a guarantee.
+    common::Stopwatch cache_sw;
+    looked.fp_ = serving::makeFingerprint(
+        request.payload, request.tier.objective, rule.tolerance);
+    serving::CachedResult cached;
+    bool hit = cache_->lookup(looked.fp_, request.tier.tolerance, cached);
+    looked.cacheWall_ = cache_sw.seconds();
+    if (ctx_.metrics != nullptr && obs::metricsEnabled()) {
+        // Per-tenant cache attribution: the shared cache's own
+        // tt_cache_* tallies stay global; these labelled series
+        // show who benefits from (and who churns) it.
+        const TenantSeries &ts = tenantSeries(request.tenant);
+        (hit ? ts.cacheHits : ts.cacheMisses)
+            .get([&]() -> obs::Counter & {
+                return ctx_.metrics->counter(
+                    hit ? "tt_tenant_cache_hits_total"
+                        : "tt_tenant_cache_misses_total",
+                    {{"tenant",
+                      serving::tenantMetricLabel(request.tenant)}},
+                    hit ? "Result-cache hits per tenant"
+                        : "Result-cache misses per tenant");
+            })
+            .inc();
+    }
+    if (!hit)
+        return false;
+
+    out.config = rule.cfg;
+    out.ruleTolerance = rule.tolerance;
+    out.output = cached.output;
+    out.confidence = cached.confidence;
+    out.servedFromCache = true;
+    out.latencySeconds = 0.0;
+    out.costDollars = 0.0;
+    recordMetrics(request.tier.objective, looked.tier_, out);
+    recordStageMetrics(out, looked.ruleMatchWall_, looked.cacheWall_);
+    recordSlo(request, rule, out);
+    if (ctx_.monitor) {
+        ctx_.monitor->observeLatency(
+            serving::objectiveName(request.tier.objective),
+            rule.tolerance, out.latencySeconds);
+    }
+    if (span_ctx.active()) {
+        recordTrace(request, out, looked.ruleMatchWall_,
+                    looked.cacheWall_, span_ctx);
+    }
+    return true;
+}
+
+TierResponse
+TierService::execute(const serving::ServiceRequest &request,
+                     const Lookup &looked,
+                     const obs::TraceContext &span_ctx) const
+{
+    const Match &tier = looked.tier_;
     const RoutingRule &rule = *tier.rule;
     const EnsembleConfig &cfg = rule.cfg;
 
     TierResponse resp;
     resp.config = cfg;
     resp.ruleTolerance = rule.tolerance;
-
-    // Cache lookup before tier-chain execution: the fingerprint is
-    // keyed by the *matched rule's* tolerance (the bucket), and the
-    // cache itself re-checks that the stored bound does not exceed
-    // the request's tolerance, so a hit never weakens a guarantee.
-    serving::CacheFingerprint fp;
-    double cache_wall = 0.0;
-    if (cache_ != nullptr) {
-        common::Stopwatch cache_sw;
-        fp = serving::makeFingerprint(request.payload,
-                                      request.tier.objective,
-                                      rule.tolerance);
-        serving::CachedResult cached;
-        bool hit =
-            cache_->lookup(fp, request.tier.tolerance, cached);
-        cache_wall = cache_sw.seconds();
-        if (ctx_.metrics != nullptr && obs::metricsEnabled()) {
-            // Per-tenant cache attribution: the shared cache's own
-            // tt_cache_* tallies stay global; these labelled series
-            // show who benefits from (and who churns) it.
-            const TenantSeries &ts = tenantSeries(request.tenant);
-            (hit ? ts.cacheHits : ts.cacheMisses)
-                .get([&]() -> obs::Counter & {
-                    return ctx_.metrics->counter(
-                        hit ? "tt_tenant_cache_hits_total"
-                            : "tt_tenant_cache_misses_total",
-                        {{"tenant",
-                          serving::tenantMetricLabel(request.tenant)}},
-                        hit ? "Result-cache hits per tenant"
-                            : "Result-cache misses per tenant");
-                })
-                .inc();
-        }
-        if (hit) {
-            resp.output = cached.output;
-            resp.confidence = cached.confidence;
-            resp.servedFromCache = true;
-            resp.latencySeconds = 0.0;
-            resp.costDollars = 0.0;
-            recordMetrics(request.tier.objective, tier, resp);
-            recordStageMetrics(resp, rule_match_wall, cache_wall);
-            recordSlo(request, rule, resp);
-            if (ctx_.monitor) {
-                ctx_.monitor->observeLatency(
-                    serving::objectiveName(request.tier.objective),
-                    rule.tolerance, resp.latencySeconds);
-            }
-            if (span_ctx.active()) {
-                recordTrace(request, resp, rule_match_wall,
-                            cache_wall, span_ctx);
-            }
-            return resp;
-        }
-    }
 
     double budget = resilience_.requestBudgetSeconds > 0.0
                         ? resilience_.requestBudgetSeconds
@@ -664,11 +683,11 @@ TierService::handle(const serving::ServiceRequest &request,
         entry.output = resp.output;
         entry.confidence = resp.confidence;
         entry.tolerance = rule.tolerance;
-        cache_->insert(fp, std::move(entry));
+        cache_->insert(looked.fp_, std::move(entry));
     }
 
     recordMetrics(request.tier.objective, tier, resp);
-    recordStageMetrics(resp, rule_match_wall, cache_wall);
+    recordStageMetrics(resp, looked.ruleMatchWall_, looked.cacheWall_);
     recordSlo(request, rule, resp);
     if (ctx_.monitor) {
         ctx_.monitor->observeLatency(
@@ -681,8 +700,8 @@ TierService::handle(const serving::ServiceRequest &request,
         }
     }
     if (span_ctx.active()) {
-        recordTrace(request, resp, rule_match_wall, cache_wall,
-                    span_ctx);
+        recordTrace(request, resp, looked.ruleMatchWall_,
+                    looked.cacheWall_, span_ctx);
     }
     return resp;
 }

@@ -56,6 +56,14 @@
  * answer was produced under (see serving/cache.hh for the
  * tolerance-safety contract). With no cache attached the path is
  * byte-identical to the uncached service.
+ *
+ * handle() is two halves a caller may also run apart: lookup()
+ * matches the rule, makes the request's one cache lookup, and on a
+ * hit records everything a hit records; execute() runs the tier
+ * chain for a miss, inserts the answer, and records the miss. The
+ * front door runs lookup() at admission, so a hit is answered on
+ * the admitting thread and only a miss goes to the pool carrying
+ * its Lookup — it is never looked up a second time.
  */
 
 #ifndef TOLTIERS_CORE_TIER_SERVICE_HH
@@ -73,12 +81,9 @@
 #include "core/resilience.hh"
 #include "core/rule_generator.hh"
 #include "obs/obs.hh"
+#include "serving/cache.hh"
 #include "serving/request.hh"
 #include "serving/service_version.hh"
-
-namespace toltiers::serving {
-class ResultCache;
-} // namespace toltiers::serving
 
 namespace toltiers::core {
 
@@ -186,6 +191,9 @@ class TierService
     /** The attached result cache, or nullptr. */
     serving::ResultCache *cache() const { return cache_; }
 
+    /** The attached tracer, or nullptr. */
+    obs::Tracer *tracer() const { return ctx_.tracer; }
+
     /**
      * Install per-version worst-case profiles (from the rule
      * generator's Single candidates) — the table fallback selection
@@ -232,6 +240,35 @@ class TierService
      */
     TierResponse handle(const serving::ServiceRequest &request,
                         const obs::TraceContext &span_ctx) const;
+
+    /** What lookup() found for a request that missed; execute()
+     * serves the request from it. Opaque outside the service. */
+    class Lookup;
+
+    /**
+     * The lookup half of handle(): match the request's rule and
+     * make its one cache lookup. On a hit, fill `out` with the
+     * served response, record everything handle() records for a
+     * hit (tier, stage, tenant-cache, SLO and monitor telemetry,
+     * and the spans under `span_ctx`), and return true. On a miss,
+     * count the tenant's miss, fill `looked`, and return false;
+     * nothing else is recorded until execute(). Never samples a
+     * trace.
+     */
+    bool lookup(const serving::ServiceRequest &request,
+                const obs::TraceContext &span_ctx, TierResponse &out,
+                Lookup &looked) const;
+
+    /**
+     * The execute half of handle(), for a request whose lookup()
+     * missed: run the tier chain, insert an Ok answer into the
+     * cache, and record the request's telemetry and spans (under
+     * `span_ctx`, as handle() does). The cache is not consulted
+     * again.
+     */
+    TierResponse execute(const serving::ServiceRequest &request,
+                         const Lookup &looked,
+                         const obs::TraceContext &span_ctx) const;
 
     /** Number of deployed service versions. */
     std::size_t versionCount() const { return versions_.size(); }
@@ -351,6 +388,16 @@ class TierService
     obs::ObsContext ctx_;       //!< All-null until attached.
     obs::DegradationKind degradationKind_ =
         obs::DegradationKind::Relative;
+};
+
+class TierService::Lookup
+{
+  private:
+    friend class TierService;
+    Match tier_;
+    serving::CacheFingerprint fp_;
+    double ruleMatchWall_ = 0.0; //!< Measured, seconds.
+    double cacheWall_ = 0.0;     //!< Measured, seconds.
 };
 
 } // namespace toltiers::core

@@ -1,5 +1,6 @@
 #include "net/server.hh"
 
+#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -177,6 +178,7 @@ TierServer::acceptLoop()
 void
 TierServer::serveConnection(const std::shared_ptr<Connection> &conn)
 {
+    conn->reader = std::this_thread::get_id();
     Bytes buf;
     std::uint8_t chunk[kReadChunk];
     // Arms when the buffer holds a partial frame, so the recorded
@@ -191,7 +193,9 @@ TierServer::serveConnection(const std::shared_ptr<Connection> &conn)
             break; // Peer closed, stop() shut us down, or error.
         bytesRead_.inc(static_cast<double>(n));
         buf.insert(buf.end(), chunk, chunk + n);
-        if (!drainFrames(conn, buf, readWatch, watchArmed))
+        bool keep = drainFrames(conn, buf, readWatch, watchArmed);
+        flushPass(*conn); // The read pass ends here.
+        if (!keep)
             break;
     }
 
@@ -249,7 +253,7 @@ TierServer::drainFrames(const std::shared_ptr<Connection> &conn,
         resp.statusNote = codecStatusName(frame.status);
         if (frame.status == CodecStatus::Ok)
             resp.statusNote = "unacceptable frame";
-        (void)writeResponse(conn, resp);
+        appendToPass(*conn, resp, /*owed=*/false);
         keep = false;
     }
     if (consumed > 0)
@@ -268,19 +272,20 @@ TierServer::handleRequest(const std::shared_ptr<Connection> &conn,
         common::MutexLock lock(conn->mu);
         ++conn->outstanding;
     }
-    auto settle = [conn](obs::MirroredCounter &outcome) {
-        outcome.inc();
-        common::MutexLock lock(conn->mu);
-        if (--conn->outstanding == 0)
-            conn->cv.notify_all();
-    };
     bool admitted = door_.submitAsync(
         std::move(request),
-        [this, conn, id, settle](const core::TierResponse &r) {
-            if (writeResponse(conn, toWire(r, id)))
-                settle(completed_);
-            else
-                settle(aborted_);
+        [this, conn, id](const core::TierResponse &r) {
+            if (std::this_thread::get_id() == conn->reader) {
+                // Answered inside this read pass (a cache hit, or
+                // any request on a worker-less pool): coalesce.
+                appendToPass(*conn, toWire(r, id), /*owed=*/true);
+                return;
+            }
+            Bytes frame;
+            encodeResponse(toWire(r, id), frame);
+            settle(*conn,
+                   sendFrames(*conn, frame, 1) ? completed_ : aborted_,
+                   1);
         });
     if (!admitted) {
         // Shed by the bounded door. The client still gets a frame
@@ -291,40 +296,82 @@ TierServer::handleRequest(const std::shared_ptr<Connection> &conn,
         resp.id = id;
         resp.status = WireStatus::Rejected;
         resp.statusNote = "shed by bounded admission";
-        (void)writeResponse(conn, resp);
-        settle(rejected_);
+        appendToPass(*conn, resp, /*owed=*/false);
+        settle(*conn, rejected_, 1);
     }
 }
 
-bool
-TierServer::writeResponse(const std::shared_ptr<Connection> &conn,
-                          const NetResponse &resp)
+void
+TierServer::appendToPass(Connection &conn, const NetResponse &resp,
+                         bool owed)
 {
-    Bytes frame;
-    CodecStatus enc = encodeResponseFrame(resp, frame);
-    if (enc != CodecStatus::Ok) {
-        // A service output too large for one frame. The client is
-        // still owed an answer: strip the oversized strings and
-        // say what happened instead of dying or going silent.
-        NetResponse trimmed = resp;
-        trimmed.output.clear();
-        trimmed.statusNote = "response exceeded the frame bound";
-        enc = encodeResponseFrame(trimmed, frame);
-        TT_ASSERT(enc == CodecStatus::Ok,
-                  "a trimmed response must always encode");
-    }
+    encodeResponse(resp, conn.pass);
+    ++conn.passFrames;
+    if (owed)
+        ++conn.passOwed;
+    if (conn.pass.size() >= kCoalesceBytes)
+        flushPass(conn);
+}
+
+void
+TierServer::flushPass(Connection &conn)
+{
+    if (conn.passFrames == 0)
+        return;
+    bool written = sendFrames(conn, conn.pass, conn.passFrames);
+    if (conn.passOwed != 0)
+        settle(conn, written ? completed_ : aborted_, conn.passOwed);
+    conn.pass.clear();
+    conn.passFrames = 0;
+    conn.passOwed = 0;
+}
+
+bool
+TierServer::sendFrames(Connection &conn, const Bytes &bytes,
+                       std::size_t frames)
+{
     common::Stopwatch writeWatch;
-    common::MutexLock lock(conn->writeMu);
-    if (conn->writeBroken)
+    common::MutexLock lock(conn.writeMu);
+    if (conn.writeBroken)
         return false;
-    if (!sendAll(conn->fd.get(), frame.data(), frame.size())) {
-        conn->writeBroken = true;
+    if (!sendAll(conn.fd.get(), bytes.data(), bytes.size())) {
+        conn.writeBroken = true;
         return false;
     }
-    bytesWritten_.inc(static_cast<double>(frame.size()));
-    if (netWrite_ != nullptr)
-        netWrite_->observe(writeWatch.seconds());
+    bytesWritten_.inc(static_cast<double>(bytes.size()));
+    if (netWrite_ != nullptr) {
+        double seconds = writeWatch.seconds();
+        for (std::size_t i = 0; i < frames; ++i)
+            netWrite_->observe(seconds);
+    }
     return true;
+}
+
+void
+TierServer::settle(Connection &conn, obs::MirroredCounter &outcome,
+                   std::size_t n)
+{
+    outcome.inc(static_cast<double>(n));
+    common::MutexLock lock(conn.mu);
+    conn.outstanding -= n;
+    if (conn.outstanding == 0)
+        conn.cv.notify_all();
+}
+
+void
+TierServer::encodeResponse(const NetResponse &resp, Bytes &out)
+{
+    if (encodeResponseFrame(resp, out) == CodecStatus::Ok)
+        return;
+    // A service output too large for one frame. The client is
+    // still owed an answer: strip the oversized strings and say
+    // what happened instead of dying or going silent.
+    NetResponse trimmed = resp;
+    trimmed.output.clear();
+    trimmed.statusNote = "response exceeded the frame bound";
+    CodecStatus enc = encodeResponseFrame(trimmed, out);
+    TT_ASSERT(enc == CodecStatus::Ok,
+              "a trimmed response must always encode");
 }
 
 NetResponse

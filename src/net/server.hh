@@ -11,14 +11,24 @@
  *
  * Concurrency model: one acceptor thread blocks in accept(2); each
  * connection gets a reader thread that decodes frames and submits
- * them through TierFrontDoor::submitAsync. Responses are produced
- * on the door's work-stealing pool and written back from the
+ * them through TierFrontDoor::submitAsync. A cache hit is answered
+ * by the door on the reader thread itself; a miss is produced on
+ * the door's work-stealing pool and written back from the
  * completion hook under a per-connection write mutex, so one
  * connection can pipeline many in-flight requests and responses
  * are framed back as they finish (tagged by the echoed request id
  * — ordering across in-flight requests is NOT guaranteed, by
  * design). A reader thread never waits for responses; a writer
  * never blocks the pool on another connection's socket.
+ *
+ * Write coalescing: every frame the reader thread answers during
+ * one read pass (the frames decoded from one recv(2)) — cache
+ * hits, sheds, a BadRequest, and on a worker-less pool every
+ * response — is appended to the connection's pass buffer and
+ * written with one send when the pass ends, or earlier once the
+ * buffer passes kCoalesceBytes. The requests in that buffer settle
+ * completed or aborted by that one write's result. Completions on
+ * pool workers still write their frame at once.
  *
  * Accounting is conservation-checked, mirroring the front door:
  * every *accepted* request frame (well-formed, handed to the door)
@@ -42,7 +52,10 @@
  * request frame spent partially received (first byte to decode)
  * lands in tt_stage_seconds{stage="net-read"} and the response
  * write in tt_stage_seconds{stage="net-write"}, alongside byte and
- * connection counters.
+ * connection counters. net-write keeps one sample per written
+ * frame: the wall time of the send that carried it (write-mutex
+ * wait included), so every frame of a coalesced send records that
+ * send's time.
  */
 
 #ifndef TOLTIERS_NET_SERVER_HH
@@ -96,6 +109,10 @@ struct ServerStats
 class TierServer
 {
   public:
+    /** A read pass's buffered responses are written early once
+     * they pass this many bytes. */
+    static constexpr std::size_t kCoalesceBytes = 64 * 1024;
+
     /** The door (and everything behind it) must outlive the
      * server; the server must be stop()ped — or destroyed — before
      * the door drains away. */
@@ -136,6 +153,14 @@ class TierServer
     struct Connection
     {
         ScopedFd fd;
+        /** The reader thread; set before its first submit. */
+        std::thread::id reader;
+        /** Frames the reader answered in the current read pass, and
+         * how many of them settle a request by the write's result.
+         * Only the reader thread touches these. */
+        Bytes pass;
+        std::size_t passFrames = 0;
+        std::size_t passOwed = 0;
         common::Mutex writeMu; //!< Serializes response frames.
         /** Set when a write failed; no further writes land. */
         bool writeBroken GUARDED_BY(writeMu) = false;
@@ -154,10 +179,24 @@ class TierServer
                      bool &watch_armed);
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        serving::ServiceRequest request);
-    /** Encode and write one response frame; returns false when the
-     * connection's write side is broken. */
-    bool writeResponse(const std::shared_ptr<Connection> &conn,
-                      const NetResponse &resp);
+    /** Append a frame the reader answered to the pass buffer;
+     * `owed` when the write's result settles its request. Flushes
+     * once the buffer passes kCoalesceBytes. */
+    void appendToPass(Connection &conn, const NetResponse &resp,
+                      bool owed);
+    /** Write the pass buffer with one send and settle its owed
+     * requests completed or aborted by the result. */
+    void flushPass(Connection &conn);
+    /** Write `frames` encoded frames with one send; returns false
+     * when the connection's write side is broken. */
+    bool sendFrames(Connection &conn, const Bytes &bytes,
+                    std::size_t frames);
+    /** Count `n` requests of `conn` as `outcome` and release them. */
+    static void settle(Connection &conn, obs::MirroredCounter &outcome,
+                       std::size_t n);
+    /** Append one response frame to `out`, trimming an output too
+     * large for a frame. */
+    static void encodeResponse(const NetResponse &resp, Bytes &out);
     static NetResponse toWire(const core::TierResponse &resp,
                               std::uint64_t id);
 

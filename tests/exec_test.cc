@@ -33,6 +33,7 @@
 #include "core/tier_service.hh"
 #include "exec/exec.hh"
 #include "obs/metrics.hh"
+#include "serving/cache.hh"
 #include "serving/fault.hh"
 #include "serving/service_version.hh"
 
@@ -493,6 +494,92 @@ TEST(FrontDoor, ShedsAtTheDoorWhenTheQueueIsFull)
     EXPECT_EQ(s.rejected, 1u);
     EXPECT_EQ(s.completed, 4u);
     EXPECT_EQ(s.collected, 4u);
+}
+
+TEST(FrontDoor, CacheHitCompletesOnTheSubmittingThread)
+{
+    StubVersion fast("fast", 0.010, 1.0);
+    co::TierService svc({&fast});
+    svc.setRules(sv::Objective::ResponseTime, {singleRule(0.10, 0)});
+    sv::ResultCache cache;
+    svc.setCache(&cache);
+
+    sv::ServiceRequest warm;
+    warm.payload = 5;
+    warm.tier.tolerance = 0.10;
+    (void)svc.handle(warm); // Fills the cache: one lookup, missed.
+
+    ex::ThreadPool pool(2);
+    co::FrontDoorConfig cfg;
+    cfg.pool = &pool;
+    co::TierFrontDoor door(svc, cfg);
+
+    // Park both workers, so only the submitting thread can serve.
+    std::atomic<bool> release{false};
+    std::atomic<int> parked{0};
+    for (int i = 0; i < 2; ++i) {
+        pool.submit([&] {
+            parked.fetch_add(1);
+            while (!release.load())
+                std::this_thread::yield();
+        });
+    }
+    while (parked.load() < 2)
+        std::this_thread::yield();
+    const std::size_t parkedTasks = pool.pendingTasks();
+
+    struct Seen
+    {
+        std::atomic<bool> done{false};
+        std::thread::id thread;
+        std::string output;
+    };
+    auto hook = [](Seen &seen) {
+        return [&seen](const co::TierResponse &r) {
+            seen.thread = std::this_thread::get_id();
+            seen.output = r.output;
+            seen.done.store(true);
+        };
+    };
+
+    // A hit is served before submitAsync returns, on this thread,
+    // and nothing reaches the pool.
+    Seen hit;
+    ASSERT_TRUE(door.submitAsync(warm, hook(hit)));
+    EXPECT_TRUE(hit.done.load());
+    EXPECT_EQ(hit.thread, std::this_thread::get_id());
+    EXPECT_EQ(hit.output, "fast-answer-5");
+    EXPECT_EQ(pool.pendingTasks(), parkedTasks);
+
+    // So is a ticket's: it is ready the moment submit() returns.
+    auto ticket = door.submit(warm);
+    ASSERT_NE(ticket, co::TierFrontDoor::kRejected);
+    EXPECT_TRUE(door.ready(ticket));
+    EXPECT_EQ(pool.pendingTasks(), parkedTasks);
+
+    // A miss is one pool task, served by a worker once they run.
+    sv::ServiceRequest cold = warm;
+    cold.payload = 6;
+    Seen miss;
+    ASSERT_TRUE(door.submitAsync(cold, hook(miss)));
+    EXPECT_FALSE(miss.done.load());
+    EXPECT_EQ(pool.pendingTasks(), parkedTasks + 1);
+    release.store(true);
+    while (!miss.done.load())
+        std::this_thread::yield();
+    EXPECT_NE(miss.thread, std::this_thread::get_id());
+    EXPECT_EQ(miss.output, "fast-answer-6");
+    EXPECT_EQ(door.wait(ticket).output, "fast-answer-5");
+    door.drain();
+
+    // Every request counts once and is looked up once.
+    auto s = door.stats();
+    EXPECT_EQ(s.submitted, 3u);
+    EXPECT_EQ(s.completed, 3u);
+    EXPECT_EQ(s.collected, 3u);
+    sv::CacheStats c = cache.stats();
+    EXPECT_EQ(c.lookups, 4u); // warm-up + three door requests
+    EXPECT_EQ(c.hits, 2u);
 }
 
 /**

@@ -23,8 +23,10 @@
  *    heap allocations.
  *  - Serve path: with metrics, the SLO tracker, the guarantee
  *    monitor and the result cache attached, a warm cache hit through
- *    TierService::handle performs **zero** heap allocations (every
- *    telemetry handle is cached; no registry lookup remains).
+ *    TierService::handle — and through TierFrontDoor::submitAsync,
+ *    which answers it on the submitting thread — performs **zero**
+ *    heap allocations (every telemetry handle is cached; no
+ *    registry lookup remains).
  *
  * The routing-rule suite closes the loop of ISSUE 8: a trace over
  * the widened float+int8 ladder must yield a generated rule table
@@ -44,9 +46,11 @@
 
 #include "common/random.hh"
 #include "core/policy.hh"
+#include "core/front_door.hh"
 #include "core/rule_generator.hh"
 #include "core/tier_service.hh"
 #include "dataset/synth_images.hh"
+#include "exec/pool.hh"
 #include "exec/rng.hh"
 #include "ic/quantize.hh"
 #include "ic/trainer.hh"
@@ -702,6 +706,31 @@ TEST(ServePath, WarmCacheHitIsHeapFree)
     std::uint64_t heap_delta = g_heap_allocs.load() - heap_before;
     EXPECT_EQ(served_from_cache, kHits);
     EXPECT_EQ(heap_delta, 0u) << "a warm cache hit touched the heap";
+
+    // The same hit through the door: admitted, looked up, accounted
+    // and completed on this thread. The completion captures one
+    // reference, so std::function stores it without the heap.
+    te::ThreadPool pool(2);
+    co::FrontDoorConfig door_cfg;
+    door_cfg.pool = &pool;
+    door_cfg.metrics = &registry;
+    co::TierFrontDoor door(svc, door_cfg);
+    int door_hits = 0;
+    co::TierFrontDoor::Completion done =
+        [&door_hits](const co::TierResponse &r) {
+            door_hits += r.servedFromCache ? 1 : 0;
+        };
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(door.submitAsync(req, done));
+    door_hits = 0;
+    heap_before = g_heap_allocs.load();
+    for (int i = 0; i < kHits; ++i)
+        ASSERT_TRUE(door.submitAsync(req, done));
+    heap_delta = g_heap_allocs.load() - heap_before;
+    EXPECT_EQ(door_hits, kHits);
+    EXPECT_EQ(heap_delta, 0u)
+        << "a warm cache hit through the door touched the heap";
+    EXPECT_EQ(door.stats().completed, 3u + kHits);
 }
 
 // ----------------------------------- end-to-end quantized accuracy

@@ -28,7 +28,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <string>
@@ -44,9 +49,12 @@
 #include "net/demo.hh"
 #include "net/protocol.hh"
 #include "net/server.hh"
+#include "net/socket.hh"
 #include "obs/metrics.hh"
+#include "serving/cache.hh"
 #include "serving/fault.hh"
 #include "serving/service_version.hh"
+#include "serving/tenant.hh"
 #include "ttload/loadgen.hh"
 
 namespace co = toltiers::core;
@@ -526,10 +534,38 @@ TEST(LoadGen, ThreadCapIsHonest)
 
 // --------------------------------------------- loopback e2e
 
-TEST(NetE2E, LoopbackStressConservesEveryRequest)
+namespace {
+
+/** The wire status a tier-service status travels as. */
+nt::WireStatus
+wireStatus(co::ServeStatus status)
+{
+    switch (status) {
+      case co::ServeStatus::Ok:
+        return nt::WireStatus::Ok;
+      case co::ServeStatus::FellBack:
+        return nt::WireStatus::FellBack;
+      case co::ServeStatus::GuaranteeViolation:
+        return nt::WireStatus::GuaranteeViolation;
+    }
+    return nt::WireStatus::BadRequest;
+}
+
+/**
+ * Eight closed-loop clients push 500 requests each over 64
+ * repeating payloads through a fault-injected ladder fronted by a
+ * result cache, so hits (answered on the reader thread) and misses
+ * (served on the pool) interleave on every connection. Every answer
+ * must equal the uncached TierService::handle answer for the same
+ * request, and after stop() every accounting identity — net, door,
+ * tenant (when `policy` is set) and cache — holds exactly.
+ */
+void
+runLoopbackStress(const sv::TenantPolicy *policy)
 {
     constexpr std::size_t kClients = 8;
     constexpr std::size_t kPerClient = 500;
+    constexpr std::size_t kPayloads = 64;
 
     StubVersion fast("fast", 0.010, 1.0);
     StubVersion mid("mid", 0.030, 3.0);
@@ -541,22 +577,42 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
     sv::FaultyServiceVersion faultySlow(
         slow, sv::FaultSchedule(faultMix(0.25, 0.05, 103)));
 
+    co::ResiliencePolicy resilience;
+    resilience.maxRetries = 1;
+    auto configure = [&](co::TierService &svc) {
+        svc.setRules(sv::Objective::ResponseTime,
+                     {singleRule(0.10, 0)});
+        svc.setVersionProfiles({{0, 0.20, 0.010, 1.0},
+                                {1, 0.04, 0.030, 3.0},
+                                {2, 0.0, 0.050, 5.0}});
+        svc.setResilience(resilience);
+    };
     co::TierService svc({&faultyFast, &faultyMid, &faultySlow});
-    svc.setRules(sv::Objective::ResponseTime,
-                 {singleRule(0.10, 0)});
-    svc.setVersionProfiles({{0, 0.20, 0.010, 1.0},
-                            {1, 0.04, 0.030, 3.0},
-                            {2, 0.0, 0.050, 5.0}});
-    co::ResiliencePolicy policy;
-    policy.maxRetries = 1;
-    svc.setResilience(policy);
+    configure(svc);
+    // The oracle: the same ladder without a cache. Faults are keyed
+    // by (payload, attempt), so its answers are the served ones.
+    co::TierService reference({&faultyFast, &faultyMid, &faultySlow});
+    configure(reference);
+    std::vector<co::TierResponse> expected;
+    for (std::size_t p = 0; p < kPayloads; ++p) {
+        sv::ServiceRequest req;
+        req.payload = p;
+        req.tier.tolerance = 0.10;
+        expected.push_back(reference.handle(req));
+    }
 
     ob::Registry registry;
+    sv::CacheConfig cache_cfg;
+    cache_cfg.metrics = &registry;
+    sv::ResultCache cache(cache_cfg);
+    svc.setCache(&cache);
+
     ex::ThreadPool pool(4);
     co::FrontDoorConfig door_cfg;
     door_cfg.pool = &pool;
-    door_cfg.queueCapacity = 64; // Small on purpose: shed some.
+    door_cfg.queueCapacity = 64;
     door_cfg.metrics = &registry;
+    door_cfg.tenantPolicy = policy;
     co::TierFrontDoor door(svc, door_cfg);
 
     nt::ServerConfig server_cfg;
@@ -574,6 +630,7 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
         std::size_t violations = 0;
         std::size_t rejected = 0;
         std::size_t errors = 0;
+        std::size_t cached = 0;
     };
     std::vector<ClientTally> tallies(kClients);
 
@@ -590,7 +647,7 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
             for (std::size_t i = 0; i < kPerClient; ++i) {
                 sv::ServiceRequest req;
                 req.id = c * kPerClient + i;
-                req.payload = (c + i) % 64;
+                req.payload = (c + i) % kPayloads;
                 req.tier.tolerance = 0.10;
                 req.tenant = "tenant-" + std::to_string(c);
                 nt::NetResponse resp;
@@ -605,24 +662,37 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
                 switch (resp.status) {
                   case nt::WireStatus::Ok:
                     ++tally.ok;
-                    // The tier honored the annotation: the matched
-                    // rule's tolerance never exceeds the asked-for
-                    // tolerance.
-                    EXPECT_LE(resp.ruleTolerance, 0.10);
                     break;
                   case nt::WireStatus::FellBack:
                     ++tally.fellBack;
-                    EXPECT_LE(resp.ruleTolerance, 0.10);
                     break;
                   case nt::WireStatus::GuaranteeViolation:
                     ++tally.violations;
                     break;
                   case nt::WireStatus::Rejected:
                     ++tally.rejected;
-                    break;
+                    continue;
                   case nt::WireStatus::BadRequest:
                     ++tally.errors;
-                    break;
+                    continue;
+                }
+                // The served answer is the uncached one; a hit
+                // only drops the modeled latency and cost.
+                const co::TierResponse &want = expected[req.payload];
+                EXPECT_EQ(resp.status, wireStatus(want.status));
+                EXPECT_EQ(resp.output, want.output);
+                EXPECT_EQ(resp.confidence, want.confidence);
+                EXPECT_EQ(resp.escalated, want.escalated);
+                EXPECT_EQ(resp.ruleTolerance, want.ruleTolerance);
+                EXPECT_LE(resp.ruleTolerance, 0.10);
+                if (resp.servedFromCache) {
+                    ++tally.cached;
+                    EXPECT_EQ(resp.latencySeconds, 0.0);
+                    EXPECT_EQ(resp.costDollars, 0.0);
+                } else {
+                    EXPECT_EQ(resp.latencySeconds,
+                              want.latencySeconds);
+                    EXPECT_EQ(resp.costDollars, want.costDollars);
                 }
             }
         });
@@ -639,6 +709,7 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
         seen.violations += t.violations;
         seen.rejected += t.rejected;
         seen.errors += t.errors;
+        seen.cached += t.cached;
     }
     ASSERT_EQ(seen.errors, 0u);
 
@@ -657,7 +728,7 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
               seen.ok + seen.fellBack + seen.violations);
 
     // Front-door conservation for the same traffic: the two
-    // accounting layers describe one reality.
+    // accounting layers describe one reality, hits included.
     co::FrontDoorStats fd = door.stats();
     EXPECT_EQ(fd.submitted, net.accepted);
     EXPECT_EQ(fd.rejected, net.rejected);
@@ -673,7 +744,41 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
     // With 25% failures per rung, some degradation must show.
     EXPECT_GT(fd.fellBack + fd.violations, 0u);
 
-    // The registry mirrors agree with both accounting layers.
+    // The cache saw each admitted request exactly once, and every
+    // hit it counted reached a client as a cached answer.
+    sv::CacheStats cs = cache.stats();
+    EXPECT_EQ(cs.lookups, fd.completed);
+    EXPECT_EQ(cs.hits + cs.misses, cs.lookups);
+    EXPECT_EQ(cs.hits, seen.cached);
+    EXPECT_GT(cs.hits, 0u);
+    EXPECT_GT(cs.misses, 0u);
+
+    // Per-tenant conservation, summing to the door's totals.
+    std::vector<sv::TenantStats> rows = door.tenantStats();
+    if (policy != nullptr) {
+        EXPECT_EQ(rows.size(), kClients);
+        std::uint64_t submitted = 0, refused = 0, completed = 0;
+        for (const auto &row : rows) {
+            EXPECT_EQ(row.submitted,
+                      row.rejected + row.shed + row.completed)
+                << "tenant " << row.tenant;
+            EXPECT_EQ(row.queued, 0u) << "tenant " << row.tenant;
+            submitted += row.submitted;
+            refused += row.rejected + row.shed;
+            completed += row.completed;
+        }
+        EXPECT_EQ(submitted, fd.submitted);
+        EXPECT_EQ(refused, fd.rejected);
+        EXPECT_EQ(completed, fd.completed);
+        EXPECT_EQ(counterValue(registry, "tt_tenant_submitted_total"),
+                  fd.submitted);
+        EXPECT_EQ(counterValue(registry, "tt_tenant_completed_total"),
+                  fd.completed);
+    } else {
+        EXPECT_TRUE(rows.empty());
+    }
+
+    // The registry mirrors agree with every accounting layer.
     EXPECT_EQ(counterValue(registry, "tt_net_connections_total"),
               net.connections);
     EXPECT_EQ(counterValue(registry, "tt_net_accepted_total"),
@@ -688,10 +793,136 @@ TEST(NetE2E, LoopbackStressConservesEveryRequest)
     EXPECT_EQ(counterValue(registry,
                            "tt_frontdoor_submitted_total"),
               fd.submitted);
+    EXPECT_EQ(counterValue(registry,
+                           "tt_frontdoor_completed_total"),
+              fd.completed);
+    EXPECT_EQ(counterValue(registry, "tt_cache_lookups_total"),
+              cs.lookups);
+    EXPECT_EQ(counterValue(registry, "tt_cache_hits_total"), cs.hits);
+    EXPECT_EQ(registry.histogram("tt_frontdoor_queue_wait_seconds")
+                  .count(),
+              fd.completed);
     EXPECT_GT(counterValue(registry, "tt_net_bytes_read_total"),
               0u);
-    EXPECT_GT(counterValue(registry, "tt_net_bytes_written_total"),
-              0u);
+    EXPECT_EQ(counterValue(registry, "tt_net_bytes_written_total"),
+              net.bytesWritten);
+    EXPECT_GT(net.bytesWritten, 0u);
+}
+
+} // namespace
+
+TEST(NetE2E, LoopbackStressConservesEveryRequest)
+{
+    runLoopbackStress(nullptr);
+}
+
+TEST(NetE2E, LoopbackStressWithTenantsConservesEveryRequest)
+{
+    // Weighted-fair admission: hits spend quota but never enter the
+    // fair queue. One tenant's tight quota makes its hits and misses
+    // alike draw rejections.
+    sv::TenantPolicy policy;
+    sv::TenantQuota tight;
+    tight.ratePerSecond = 2000.0;
+    tight.burst = 4.0;
+    policy.tenants["tenant-0"] = tight;
+    runLoopbackStress(&policy);
+}
+
+namespace {
+
+/** A version whose first call blocks until the test opens it. */
+class GateVersion : public sv::ServiceVersion
+{
+  public:
+    GateVersion(std::atomic<bool> &entered, std::atomic<bool> &open)
+        : entered_(entered), open_(open)
+    {
+    }
+
+    const std::string &name() const override { return name_; }
+    const std::string &instanceName() const override
+    {
+        return name_;
+    }
+    std::size_t workloadSize() const override { return 64; }
+
+    sv::VersionResult
+    process(std::size_t index) const override
+    {
+        entered_.store(true);
+        while (!open_.load())
+            std::this_thread::yield();
+        sv::VersionResult r;
+        r.output = "gate-" + std::to_string(index);
+        r.confidence = 0.9;
+        r.latencySeconds = 0.01;
+        return r;
+    }
+
+  private:
+    std::string name_ = "gate";
+    std::atomic<bool> &entered_;
+    std::atomic<bool> &open_;
+};
+
+} // namespace
+
+TEST(NetE2E, CoalescedResponsesToAResetPeerCountAsAborted)
+{
+    // A worker-less pool serves every request inline on the reader
+    // thread, so a read pass's responses all wait in its buffer for
+    // one send. The first request holds the pass open until the
+    // client has reset the connection; that send then fails, and
+    // every request in the buffer must settle aborted.
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+    GateVersion gate(entered, open);
+    co::TierService svc({&gate});
+    svc.setRules(sv::Objective::ResponseTime, {singleRule(0.10, 0)});
+    ex::ThreadPool pool(1);
+    co::FrontDoorConfig door_cfg;
+    door_cfg.pool = &pool;
+    co::TierFrontDoor door(svc, door_cfg);
+    nt::TierServer server(door, nt::ServerConfig());
+    std::string err;
+    ASSERT_TRUE(server.start(err)) << err;
+
+    int fd = nt::tcpConnect("127.0.0.1", server.port(), err);
+    ASSERT_GE(fd, 0) << err;
+    nt::Bytes wire;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        sv::ServiceRequest req;
+        req.id = i;
+        req.payload = i;
+        req.tier.tolerance = 0.10;
+        ASSERT_EQ(nt::encodeRequestFrame(req, wire),
+                  nt::CodecStatus::Ok);
+    }
+    ASSERT_TRUE(nt::sendAll(fd, wire.data(), wire.size()));
+    while (!entered.load())
+        std::this_thread::yield();
+    // An abortive close: the peer's RST marks the server's socket
+    // reset, so its next send fails.
+    linger reset{1, 0};
+    ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset,
+                         sizeof(reset)),
+              0);
+    ::close(fd);
+    // Loopback delivers the RST within the close(); the pause only
+    // covers a descheduled softirq on a loaded machine.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    open.store(true);
+    server.stop();
+
+    nt::ServerStats net = server.stats();
+    EXPECT_GE(net.accepted, 1u);
+    EXPECT_EQ(net.aborted, net.accepted);
+    EXPECT_EQ(net.completed, 0u);
+    EXPECT_EQ(net.rejected, 0u);
+    EXPECT_EQ(net.bytesWritten, 0u);
+    // The door produced every response; only the wire lost them.
+    EXPECT_EQ(door.stats().completed, net.accepted);
 }
 
 TEST(NetE2E, WireAnswersMatchInProcessByteForByte)

@@ -470,11 +470,13 @@ TEST(FrontDoorTenants, TeardownWaitsForTrailingPumpTasks)
         std::atomic<bool> stop{false};
         std::atomic<int> completed{0};
         {
+            // Declared before the door, so it is destroyed after
+            // it: the door's destructor drains every completion —
+            // including one that passed its `stop` check just
+            // before scope exit — while `launch` still lives.
+            std::function<void()> launch;
             co::TierFrontDoor door(svc, cfg);
-            // `launch` outlives every callback that can call it:
-            // callbacks re-check `stop` (declared outside the door
-            // scope) first, and `stop` is set before scope exit.
-            std::function<void()> launch = [&] {
+            launch = [&] {
                 (void)door.submitAsync(
                     tenantRequest("chain"),
                     [&](const co::TierResponse &) {
