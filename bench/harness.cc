@@ -10,7 +10,6 @@
 #include "ic/service.hh"
 #include "ic/trainer.hh"
 #include "obs/export.hh"
-#include "tensor/kernels/kernels.hh"
 
 namespace toltiers::bench {
 
@@ -22,16 +21,6 @@ ObsSession::ObsSession(int argc, const char *const *argv,
             common::telemetryFlags(std::move(extra_flags)))
 {
     common::applyLogLevel(args_);
-    if (args_.has("kernel-backend")) {
-        std::string name = args_.getString("kernel-backend", "");
-        auto backend = tensor::parseKernelBackend(name);
-        if (!backend) {
-            common::fatal("--kernel-backend expects "
-                          "reference|blocked, got '",
-                          name, "'");
-        }
-        tensor::setKernelBackend(*backend);
-    }
 }
 
 ObsSession::~ObsSession()

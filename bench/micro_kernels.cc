@@ -2,18 +2,24 @@
  * @file
  * BENCH-K: inference-kernel microbenchmark -> BENCH_kernels.json.
  *
- * Three sections:
+ * Four sections:
  *
- *  - gemm: measured GFLOP/s of the scalar Reference and Blocked
- *    float GEMMs plus the int8 GEMM (GOP/s) over square sizes.
+ *  - served: one pass over the six GEMMs a batch-1 cnn-l forward
+ *    issues (the reference version that tolerance-0 requests run),
+ *    timed for the shipping gemmF32 and the scalar Reference oracle,
+ *    best of several alternating rounds.
+ *  - gemm: measured GFLOP/s of both float GEMMs plus the int8 GEMM
+ *    (GOP/s) over square sizes. Reported, not gated: at -O3 the
+ *    compiler vectorizes the scalar oracle itself, so square sizes
+ *    say little about the shapes the zoo serves.
  *  - inference: per-inference forward latency of every zoo
  *    architecture, float vs int8-quantized, both measured wall-clock
  *    and the deterministic modeled service latency (overhead +
  *    MACs x rate; the int8 rate is kInt8MacRateFactor x the float
  *    rate — see ic/quantize.hh).
  *  - sanity: with --assert-speedup=F the binary exits nonzero unless
- *    the Blocked GEMM reaches F x the Reference throughput at the
- *    largest size and every q8 version's modeled latency is strictly
+ *    gemmF32 runs the served shapes at least F x faster than the
+ *    Reference and every q8 version's modeled latency is strictly
  *    below its float parent's (CI gates on this).
  *
  * Weights are random: kernel latency does not depend on weight
@@ -21,6 +27,7 @@
  * a CI job.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -70,13 +77,83 @@ timeIt(Fn &&fn)
     }
 }
 
+struct GemmShape
+{
+    std::size_t m, k, n;
+};
+
+/**
+ * The GEMMs of one batch-1 cnn-l forward on a 12x12 image, as
+ * m x k x n: its four convolutions (filters x C*3*3 x output pixels)
+ * and its two dense layers (1 x in x out).
+ */
+const GemmShape kServedShapes[] = {
+    {16, 9, 144}, {32, 144, 144}, {48, 288, 36},
+    {48, 432, 36}, {1, 432, 96},  {1, 96, 10},
+};
+
+struct ServedSample
+{
+    double referenceUs = 0.0; //!< Best pass, scalar Reference.
+    double shippingUs = 0.0;  //!< Best pass, gemmF32.
+    double speedup = 0.0;
+};
+
+ServedSample
+benchServed()
+{
+    struct Operands
+    {
+        std::vector<float> a, b, c;
+    };
+    std::vector<Operands> ops;
+    std::uint64_t task = 100;
+    for (const GemmShape &s : kServedShapes) {
+        ops.push_back({randomBuffer(s.m * s.k, task),
+                       randomBuffer(s.k * s.n, task + 1),
+                       std::vector<float>(s.m * s.n)});
+        task += 2;
+    }
+    auto pass = [&](bool reference) {
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const GemmShape &s = kServedShapes[i];
+            Operands &o = ops[i];
+            std::fill(o.c.begin(), o.c.end(), 0.0f);
+            if (reference)
+                tensor::kernels::gemmF32Reference(
+                    o.a.data(), o.b.data(), o.c.data(), s.m, s.k, s.n);
+            else
+                tensor::kernels::gemmF32(o.a.data(), o.b.data(),
+                                         o.c.data(), s.m, s.k, s.n);
+        }
+    };
+    // Best of 9 alternating rounds of 300 passes each: the minimum
+    // is the least noisy estimate on a shared host.
+    constexpr int kRounds = 9;
+    constexpr int kPasses = 300;
+    double best[2] = {1e30, 1e30};
+    for (int round = 0; round < kRounds; ++round) {
+        for (int ref = 0; ref < 2; ++ref) {
+            common::Stopwatch sw;
+            for (int p = 0; p < kPasses; ++p)
+                pass(ref == 1);
+            best[ref] = std::min(best[ref], sw.seconds() / kPasses);
+        }
+    }
+    ServedSample out;
+    out.shippingUs = best[0] * 1e6;
+    out.referenceUs = best[1] * 1e6;
+    out.speedup = best[1] / best[0];
+    return out;
+}
+
 struct GemmSample
 {
     std::size_t size = 0;
-    double scalarGflops = 0.0;
-    double blockedGflops = 0.0;
+    double referenceGflops = 0.0;
+    double shippingGflops = 0.0;
     double int8Gops = 0.0;
-    double blockedSpeedup = 0.0;
+    double speedup = 0.0;
 };
 
 GemmSample
@@ -91,19 +168,19 @@ benchGemm(std::size_t size)
 
     GemmSample s;
     s.size = size;
-    double scalar = timeIt([&] {
+    double reference = timeIt([&] {
         std::fill(c.begin(), c.end(), 0.0f);
         tensor::kernels::gemmF32Reference(a.data(), b.data(),
                                           c.data(), m, k, n);
     });
-    double blocked = timeIt([&] {
+    double shipping = timeIt([&] {
         std::fill(c.begin(), c.end(), 0.0f);
-        tensor::kernels::gemmF32Blocked(a.data(), b.data(), c.data(),
-                                        m, k, n);
+        tensor::kernels::gemmF32(a.data(), b.data(), c.data(), m, k,
+                                 n);
     });
-    s.scalarGflops = flops / scalar / 1e9;
-    s.blockedGflops = flops / blocked / 1e9;
-    s.blockedSpeedup = scalar / blocked;
+    s.referenceGflops = flops / reference / 1e9;
+    s.shippingGflops = flops / shipping / 1e9;
+    s.speedup = reference / shipping;
 
     std::vector<std::int8_t> qa(m * k), qb(k * n);
     tensor::QuantParams qp = tensor::chooseQuantParams(-1.0f, 1.0f);
@@ -136,23 +213,30 @@ main(int argc, char **argv)
     bench::ObsSession session(
         argc, argv, {"json-out", "assert-speedup", "sizes"});
     bench::banner("BENCH-K: inference kernels",
-                  "scalar vs blocked vs int8 GEMM; float vs q8 zoo "
-                  "forward latency");
+                  "gemmF32 vs scalar Reference on cnn-l's served "
+                  "shapes and square sizes; int8 GEMM; float vs q8 "
+                  "zoo forward latency");
 
     std::string json_path = session.args().getString(
         "json-out", "BENCH_kernels.json");
     double assert_speedup =
         session.args().getDouble("assert-speedup", 0.0);
 
+    ServedSample served = benchServed();
+    std::printf("served cnn-l GEMMs (one batch-1 forward): reference "
+                "%7.1f us  gemmF32 %7.1f us (%.2fx)\n",
+                served.referenceUs, served.shippingUs,
+                served.speedup);
+
     std::vector<std::size_t> sizes = {128, 256, 512};
     std::vector<GemmSample> gemm;
     for (std::size_t size : sizes) {
         gemm.push_back(benchGemm(size));
         const GemmSample &s = gemm.back();
-        std::printf("gemm %4zu^3: scalar %7.2f GF/s  blocked %7.2f "
-                    "GF/s (%.2fx)  int8 %7.2f GOP/s\n",
-                    s.size, s.scalarGflops, s.blockedGflops,
-                    s.blockedSpeedup, s.int8Gops);
+        std::printf("gemm %4zu^3: reference %7.2f GF/s  gemmF32 "
+                    "%7.2f GF/s (%.2fx)  int8 %7.2f GOP/s\n",
+                    s.size, s.referenceGflops, s.shippingGflops,
+                    s.speedup, s.int8Gops);
     }
 
     // Zoo architectures, float vs quantized, batch-1 forward.
@@ -175,8 +259,8 @@ main(int argc, char **argv)
 
         InferenceSample s;
         s.version = spec.name;
-        s.floatMs = timeIt([&] { net.forward(probe, false); }) * 1e3;
-        s.q8Ms = timeIt([&] { qnet.forward(probe, false); }) * 1e3;
+        s.floatMs = timeIt([&] { net.infer(probe); }) * 1e3;
+        s.q8Ms = timeIt([&] { qnet.infer(probe); }) * 1e3;
         std::uint64_t macs = net.macsPerSample(
             tensor::Shape{1, kImageSize, kImageSize});
         s.floatModelMs = float_model.latency(macs) * 1e3;
@@ -195,18 +279,20 @@ main(int argc, char **argv)
         common::JsonWriter json(out);
         json.beginObject();
         json.member("bench", "micro_kernels");
-        json.member(
-            "default_backend",
-            tensor::kernelBackendName(
-                tensor::kernelPolicy().backend));
         json.member("int8_mac_rate_factor", ic::kInt8MacRateFactor);
+        json.beginObject("served");
+        json.member("net", "cnn-l");
+        json.member("reference_us", served.referenceUs);
+        json.member("shipping_us", served.shippingUs);
+        json.member("speedup", served.speedup);
+        json.endObject();
         json.beginArray("gemm");
         for (const auto &s : gemm) {
             json.beginObject();
             json.member("size", s.size);
-            json.member("scalar_gflops", s.scalarGflops);
-            json.member("blocked_gflops", s.blockedGflops);
-            json.member("blocked_speedup", s.blockedSpeedup);
+            json.member("reference_gflops", s.referenceGflops);
+            json.member("shipping_gflops", s.shippingGflops);
+            json.member("speedup", s.speedup);
             json.member("int8_gops", s.int8Gops);
             json.endObject();
         }
@@ -228,13 +314,12 @@ main(int argc, char **argv)
     std::printf("wrote %s\n", json_path.c_str());
 
     if (assert_speedup > 0.0) {
-        const GemmSample &big = gemm.back();
-        if (big.blockedSpeedup < assert_speedup) {
+        if (served.speedup < assert_speedup) {
             std::fprintf(stderr,
-                         "FAIL: blocked GEMM speedup %.2fx < "
-                         "required %.2fx at size %zu\n",
-                         big.blockedSpeedup, assert_speedup,
-                         big.size);
+                         "FAIL: gemmF32 runs cnn-l's served GEMMs "
+                         "%.2fx faster than the Reference, required "
+                         "%.2fx\n",
+                         served.speedup, assert_speedup);
             return 1;
         }
         for (const auto &s : inference) {
@@ -247,9 +332,9 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        std::printf("sanity: blocked %.2fx >= %.2fx and all q8 "
-                    "versions strictly faster — OK\n",
-                    big.blockedSpeedup, assert_speedup);
+        std::printf("sanity: served GEMMs %.2fx >= %.2fx and all "
+                    "q8 versions modeled faster — OK\n",
+                    served.speedup, assert_speedup);
     }
     return 0;
 }

@@ -27,12 +27,12 @@ BM_ZooForward(benchmark::State &state)
     tensor::Tensor batch({1, 1, 12, 12});
     batch.randomNormal(rng, 1.0f);
     for (auto _ : state) {
-        auto logits = net.forward(batch, false);
+        auto logits = net.infer(batch);
         benchmark::DoNotOptimize(logits.data());
     }
     state.SetLabel(spec.name);
-    state.counters["MACs"] = benchmark::Counter(
-        static_cast<double>(net.lastForwardMacs()));
+    state.counters["MACs"] = benchmark::Counter(static_cast<double>(
+        net.macsPerSample(tensor::Shape{1, 12, 12})));
 }
 
 void

@@ -93,7 +93,6 @@ telemetryFlags(std::vector<std::string> extra)
     extra.push_back("metrics-out");
     extra.push_back("metrics-legacy-aliases");
     extra.push_back("trace-out");
-    extra.push_back("kernel-backend");
     return extra;
 }
 

@@ -57,9 +57,8 @@ class CliArgs
 /**
  * The telemetry flags every toltiers binary accepts, appended to a
  * binary's own flag names: --log-level (quiet|warn|inform|debug),
- * --metrics-out (metrics snapshot path, format by extension),
- * --trace-out (JSONL trace log path), and --kernel-backend
- * (reference|blocked GEMM selection, applied by the bench harness).
+ * --metrics-out (metrics snapshot path, format by extension), and
+ * --trace-out (JSONL trace log path).
  */
 std::vector<std::string>
 telemetryFlags(std::vector<std::string> extra = {});

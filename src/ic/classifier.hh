@@ -83,7 +83,7 @@ class Classifier
 
   private:
     IcVersionSpec spec_;
-    mutable nn::Network net_; //!< forward() caches activations.
+    nn::Network net_; //!< Served through its const infer().
     IcLatencyModel latency_;
     std::uint64_t macsPerImage_ = 0;
 };

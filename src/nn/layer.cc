@@ -19,13 +19,24 @@ Conv2d::Conv2d(std::size_t c_in, std::size_t f,
 }
 
 Tensor
-Conv2d::forward(const Tensor &in, bool train)
+Conv2d::infer(const Tensor &in) const
 {
-    if (train)
-        input_ = in;
-    lastMacs_ = tensor::convMacs(in.dim(0), in.dim(1), in.dim(2),
-                                 in.dim(3), w_.value.dim(0), g_);
     return tensor::conv2dForward(in, w_.value, b_.value, g_);
+}
+
+Tensor
+Conv2d::forward(const Tensor &in)
+{
+    input_ = in;
+    return infer(in);
+}
+
+std::uint64_t
+Conv2d::macs(const tensor::Shape &in) const
+{
+    TT_ASSERT(in.size() == 4, "conv2d expects NCHW");
+    return tensor::convMacs(in[0], in[1], in[2], in[3],
+                            w_.value.dim(0), g_);
 }
 
 Tensor
@@ -48,16 +59,26 @@ Dense::Dense(std::size_t in, std::size_t out, common::Pcg32 &rng)
 }
 
 Tensor
-Dense::forward(const Tensor &in, bool train)
+Dense::infer(const Tensor &in) const
 {
     TT_ASSERT(in.rank() == 2, "dense expects [N, features]");
-    if (train)
-        input_ = in;
-    lastMacs_ =
-        tensor::denseMacs(in.dim(0), in.dim(1), w_.value.dim(1));
     Tensor out = tensor::matmul(in, w_.value);
     tensor::addBiasRows(out, b_.value);
     return out;
+}
+
+Tensor
+Dense::forward(const Tensor &in)
+{
+    input_ = in;
+    return infer(in);
+}
+
+std::uint64_t
+Dense::macs(const tensor::Shape &in) const
+{
+    TT_ASSERT(in.size() == 2, "dense expects [N, features]");
+    return tensor::denseMacs(in[0], in[1], w_.value.dim(1));
 }
 
 Tensor
@@ -76,12 +97,16 @@ Dense::backward(const Tensor &d_out)
 // ------------------------------------------------------------------ Relu
 
 Tensor
-Relu::forward(const Tensor &in, bool train)
+Relu::infer(const Tensor &in) const
 {
-    if (train)
-        input_ = in;
-    lastMacs_ = 0;
     return tensor::reluForward(in);
+}
+
+Tensor
+Relu::forward(const Tensor &in)
+{
+    input_ = in;
+    return infer(in);
 }
 
 Tensor
@@ -99,13 +124,16 @@ MaxPool2d::MaxPool2d(std::size_t kernel, std::size_t stride)
 }
 
 Tensor
-MaxPool2d::forward(const Tensor &in, bool)
+MaxPool2d::infer(const Tensor &in) const
+{
+    return tensor::maxPool2dForward(in, kernel_, stride_, nullptr);
+}
+
+Tensor
+MaxPool2d::forward(const Tensor &in)
 {
     inShape_ = in.shape();
-    lastMacs_ = 0;
-    // The member argmax buffer is reused across calls, so a warm
-    // forward pass performs no heap allocation here.
-    return tensor::maxPool2dForward(in, kernel_, stride_, argmax_);
+    return tensor::maxPool2dForward(in, kernel_, stride_, &argmax_);
 }
 
 Tensor
@@ -117,11 +145,16 @@ MaxPool2d::backward(const Tensor &d_out)
 // --------------------------------------------------------- GlobalAvgPool
 
 Tensor
-GlobalAvgPool::forward(const Tensor &in, bool)
+GlobalAvgPool::infer(const Tensor &in) const
+{
+    return tensor::globalAvgPoolForward(in);
+}
+
+Tensor
+GlobalAvgPool::forward(const Tensor &in)
 {
     inShape_ = in.shape();
-    lastMacs_ = 0;
-    return tensor::globalAvgPoolForward(in);
+    return infer(in);
 }
 
 Tensor
@@ -133,15 +166,20 @@ GlobalAvgPool::backward(const Tensor &d_out)
 // --------------------------------------------------------------- Flatten
 
 Tensor
-Flatten::forward(const Tensor &in, bool)
+Flatten::infer(const Tensor &in) const
 {
-    inShape_ = in.shape();
     TT_ASSERT(in.rank() >= 2, "flatten expects a batch dimension");
     Tensor out = in;
     std::size_t n = in.dim(0);
     out.reshape({n, in.size() / n});
-    lastMacs_ = 0;
     return out;
+}
+
+Tensor
+Flatten::forward(const Tensor &in)
+{
+    inShape_ = in.shape();
+    return infer(in);
 }
 
 Tensor

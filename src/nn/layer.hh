@@ -2,8 +2,12 @@
  * @file
  * Layer abstraction for the from-scratch CNN substrate.
  *
- * Layers are stateful: forward() caches whatever backward() needs, so
- * a network instance must not interleave two half-finished batches.
+ * Every layer has two forward entries. infer() is the inference
+ * path: const, so it writes no member and any number of threads may
+ * run one layer at once; its temporaries come from the calling
+ * thread's ArenaScope when one is live (tensor/arena.hh). forward()
+ * is the training path: it caches whatever backward() needs, so a
+ * network instance must not interleave two half-finished batches.
  * Each trainable parameter is exposed through Param so the optimizer
  * can update all layers uniformly.
  */
@@ -48,15 +52,16 @@ class Layer
     virtual std::string name() const = 0;
 
     /**
-     * Forward pass. With train=true, implementations cache the
-     * activations backward() needs; with train=false the layers that
-     * would have to copy their input (Conv2d, Dense, Relu) skip the
-     * cache so the inference path stays allocation free — backward()
-     * after an inference-mode forward is valid only for the cheap
-     * shape-caching layers (MaxPool2d, GlobalAvgPool, Flatten).
+     * Inference forward pass. Reentrant: it writes no member, so
+     * concurrent calls on one layer are safe.
      */
-    virtual tensor::Tensor forward(const tensor::Tensor &in,
-                                   bool train) = 0;
+    virtual tensor::Tensor infer(const tensor::Tensor &in) const = 0;
+
+    /**
+     * Training forward pass: caches the activations backward()
+     * needs. The output equals infer()'s bit for bit.
+     */
+    virtual tensor::Tensor forward(const tensor::Tensor &in) = 0;
 
     /** Backward pass; returns the gradient w.r.t. the input. */
     virtual tensor::Tensor backward(const tensor::Tensor &d_out) = 0;
@@ -64,11 +69,11 @@ class Layer
     /** Trainable parameters (empty for stateless layers). */
     virtual std::vector<Param *> params() { return {}; }
 
-    /** MACs performed by the most recent forward() call. */
-    std::uint64_t lastMacs() const { return lastMacs_; }
-
-  protected:
-    std::uint64_t lastMacs_ = 0;
+    /** MACs of one forward pass over an input of this shape. */
+    virtual std::uint64_t macs(const tensor::Shape &) const
+    {
+        return 0;
+    }
 };
 
 /** 2-D convolution with bias. */
@@ -83,10 +88,11 @@ class Conv2d : public Layer
            const tensor::ConvGeometry &g, common::Pcg32 &rng);
 
     std::string name() const override { return "conv2d"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
     std::vector<Param *> params() override { return {&w_, &b_}; }
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
     const tensor::ConvGeometry &geometry() const { return g_; }
 
@@ -110,10 +116,11 @@ class Dense : public Layer
     Dense(std::size_t in, std::size_t out, common::Pcg32 &rng);
 
     std::string name() const override { return "dense"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
     std::vector<Param *> params() override { return {&w_, &b_}; }
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
     /** Trained weights [in, out] (read-only, for quantization). */
     const tensor::Tensor &weight() const { return w_.value; }
@@ -132,8 +139,8 @@ class Relu : public Layer
 {
   public:
     std::string name() const override { return "relu"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
 
   private:
@@ -147,8 +154,8 @@ class MaxPool2d : public Layer
     MaxPool2d(std::size_t kernel, std::size_t stride);
 
     std::string name() const override { return "maxpool2d"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
 
     std::size_t kernel() const { return kernel_; }
@@ -166,8 +173,8 @@ class GlobalAvgPool : public Layer
 {
   public:
     std::string name() const override { return "gap"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
 
   private:
@@ -179,8 +186,8 @@ class Flatten : public Layer
 {
   public:
     std::string name() const override { return "flatten"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override;
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
 
   private:

@@ -18,15 +18,25 @@ Network::add(std::unique_ptr<Layer> layer)
 }
 
 Tensor
-Network::forward(const Tensor &in, bool train)
+Network::infer(const Tensor &in, std::uint64_t *macs) const
 {
     TT_ASSERT(!layers_.empty(), "forward on an empty network");
     Tensor x = in;
-    lastMacs_ = 0;
-    for (auto &layer : layers_) {
-        x = layer->forward(x, train);
-        lastMacs_ += layer->lastMacs();
+    for (const auto &layer : layers_) {
+        if (macs != nullptr)
+            *macs += layer->macs(x.shape());
+        x = layer->infer(x);
     }
+    return x;
+}
+
+Tensor
+Network::forward(const Tensor &in)
+{
+    TT_ASSERT(!layers_.empty(), "forward on an empty network");
+    Tensor x = in;
+    for (auto &layer : layers_)
+        x = layer->forward(x);
     return x;
 }
 
@@ -66,17 +76,18 @@ Network::parameterCount()
 }
 
 std::uint64_t
-Network::macsPerSample(const tensor::Shape &shape)
+Network::macsPerSample(const tensor::Shape &shape) const
 {
     Tensor probe(shape.prepended(1));
-    forward(probe, false);
-    return lastMacs_;
+    std::uint64_t macs = 0;
+    infer(probe, &macs);
+    return macs;
 }
 
 std::vector<Prediction>
-Network::predict(const Tensor &batch)
+Network::predict(const Tensor &batch) const
 {
-    Tensor logits = forward(batch, false);
+    Tensor logits = infer(batch);
     Tensor probs = tensor::softmaxRows(logits);
     std::size_t m = probs.dim(0), n = probs.dim(1);
 

@@ -44,8 +44,16 @@ class Network
     /** Number of layers. */
     std::size_t depth() const { return layers_.size(); }
 
-    /** Forward pass to logits. */
-    tensor::Tensor forward(const tensor::Tensor &in, bool train);
+    /**
+     * Inference forward pass to logits. Reentrant: const, so any
+     * number of threads may run one network at once. Adds the
+     * pass's MACs to *macs when macs is non-null.
+     */
+    tensor::Tensor infer(const tensor::Tensor &in,
+                         std::uint64_t *macs = nullptr) const;
+
+    /** Training forward pass: every layer caches for backward(). */
+    tensor::Tensor forward(const tensor::Tensor &in);
 
     /** Backward pass from the loss gradient w.r.t. logits. */
     void backward(const tensor::Tensor &d_logits);
@@ -59,14 +67,11 @@ class Network
     /** Total trainable scalar count. */
     std::size_t parameterCount();
 
-    /** MACs of the most recent forward() call. */
-    std::uint64_t lastForwardMacs() const { return lastMacs_; }
-
     /**
      * MACs for a single sample of the given shape (runs one dry
-     * forward pass on a zero batch of one).
+     * inference pass on a zero batch of one).
      */
-    std::uint64_t macsPerSample(const tensor::Shape &shape);
+    std::uint64_t macsPerSample(const tensor::Shape &shape) const;
 
     /** Ordered layer stack (read-only, e.g. for quantization). */
     const std::vector<std::unique_ptr<Layer>> &layers() const
@@ -75,15 +80,14 @@ class Network
     }
 
     /**
-     * Classify a batch: softmax over logits, argmax plus confidence
-     * for each row.
+     * Classify a batch: softmax over the inference logits, argmax
+     * plus confidence for each row. Reentrant, like infer().
      */
-    std::vector<Prediction> predict(const tensor::Tensor &batch);
+    std::vector<Prediction> predict(const tensor::Tensor &batch) const;
 
   private:
     std::string name_;
     std::vector<std::unique_ptr<Layer>> layers_;
-    std::uint64_t lastMacs_ = 0;
 };
 
 } // namespace toltiers::nn

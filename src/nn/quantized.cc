@@ -1,9 +1,11 @@
 #include "nn/quantized.hh"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "common/logging.hh"
+#include "tensor/arena.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/ops.hh"
 
@@ -47,22 +49,23 @@ QDense::QDense(const Tensor &w, const Tensor &b,
 }
 
 Tensor
-QDense::forward(const Tensor &in, bool)
+QDense::infer(const Tensor &in) const
 {
     TT_ASSERT(in.rank() == 2 && in.dim(1) == in_,
               "QDense input shape mismatch");
     std::size_t m = in.dim(0);
-    qin_.resize(m * in_);
-    tensor::quantizeBuffer(in.data(), m * in_, inQuant_, qin_.data());
-    acc_.assign(m * out_, 0);
-    tensor::kernels::gemmS8(qin_.data(), qw_.data(), acc_.data(), m,
+    tensor::ScratchBuffer<std::int8_t> qin(m * in_);
+    tensor::quantizeBuffer(in.data(), m * in_, inQuant_, qin.data());
+    tensor::ScratchBuffer<std::int32_t> acc(m * out_);
+    std::fill_n(acc.data(), m * out_, 0);
+    tensor::kernels::gemmS8(qin.data(), qw_.data(), acc.data(), m,
                             in_, out_);
 
     Tensor out({m, out_});
     float sa = inQuant_.scale;
     std::int32_t za = inQuant_.zeroPoint;
     for (std::size_t i = 0; i < m; ++i) {
-        const std::int32_t *arow = acc_.data() + i * out_;
+        const std::int32_t *arow = acc.data() + i * out_;
         float *orow = out.data() + i * out_;
         for (std::size_t j = 0; j < out_; ++j) {
             orow[j] = static_cast<float>(arow[j] - za * colSum_[j]) *
@@ -70,8 +73,14 @@ QDense::forward(const Tensor &in, bool)
                       bias_[j];
         }
     }
-    lastMacs_ = tensor::denseMacs(m, in_, out_);
     return out;
+}
+
+std::uint64_t
+QDense::macs(const tensor::Shape &in) const
+{
+    TT_ASSERT(in.size() == 2, "QDense expects [N, features]");
+    return tensor::denseMacs(in[0], in_, out_);
 }
 
 Tensor
@@ -106,7 +115,7 @@ QConv2d::QConv2d(const Tensor &w, const Tensor &b,
 }
 
 Tensor
-QConv2d::forward(const Tensor &in, bool)
+QConv2d::infer(const Tensor &in) const
 {
     TT_ASSERT(in.rank() == 4 && in.dim(1) == cIn_,
               "QConv2d input shape mismatch");
@@ -119,16 +128,17 @@ QConv2d::forward(const Tensor &in, bool)
     Tensor out({n, filters_, oh, ow});
     float sa = inQuant_.scale;
     std::int32_t za = inQuant_.zeroPoint;
+    tensor::ScratchBuffer<std::int8_t> qcols(ckk * ohow);
+    tensor::ScratchBuffer<std::int32_t> acc(filters_ * ohow);
     for (std::size_t s = 0; s < n; ++s) {
         Tensor cols = tensor::im2col(in, s, g_);
-        qcols_.resize(ckk * ohow);
         tensor::quantizeBuffer(cols.data(), ckk * ohow, inQuant_,
-                               qcols_.data());
-        acc_.assign(filters_ * ohow, 0);
-        tensor::kernels::gemmS8(qw_.data(), qcols_.data(),
-                                acc_.data(), filters_, ckk, ohow);
+                               qcols.data());
+        std::fill_n(acc.data(), filters_ * ohow, 0);
+        tensor::kernels::gemmS8(qw_.data(), qcols.data(), acc.data(),
+                                filters_, ckk, ohow);
         for (std::size_t f = 0; f < filters_; ++f) {
-            const std::int32_t *arow = acc_.data() + f * ohow;
+            const std::int32_t *arow = acc.data() + f * ohow;
             float *orow = out.data() + ((s * filters_ + f) * ohow);
             float scale = sa * wScale_[f];
             std::int32_t corr = za * rowSum_[f];
@@ -138,9 +148,14 @@ QConv2d::forward(const Tensor &in, bool)
             }
         }
     }
-    lastMacs_ = tensor::convMacs(n, cIn_, in.dim(2), in.dim(3),
-                                 filters_, g_);
     return out;
+}
+
+std::uint64_t
+QConv2d::macs(const tensor::Shape &in) const
+{
+    TT_ASSERT(in.size() == 4, "QConv2d expects NCHW");
+    return tensor::convMacs(in[0], cIn_, in[2], in[3], filters_, g_);
 }
 
 Tensor
@@ -152,36 +167,36 @@ QConv2d::backward(const Tensor &)
 // ------------------------------------------------------- quantizeNetwork
 
 Network
-quantizeNetwork(Network &net, const Tensor &calibration,
+quantizeNetwork(const Network &net, const Tensor &calibration,
                 std::string name)
 {
     Network out(std::move(name));
     Tensor x = calibration;
     for (const auto &layer : net.layers()) {
-        Layer *l = layer.get();
+        const Layer *l = layer.get();
         float lo = 0.0f, hi = 0.0f;
         tensor::bufferRange(x.data(), x.size(), lo, hi);
-        if (auto *d = dynamic_cast<Dense *>(l)) {
+        if (auto *d = dynamic_cast<const Dense *>(l)) {
             out.add(std::make_unique<QDense>(
                 d->weight(), d->bias(),
                 tensor::chooseQuantParams(lo, hi)));
-        } else if (auto *c = dynamic_cast<Conv2d *>(l)) {
+        } else if (auto *c = dynamic_cast<const Conv2d *>(l)) {
             out.add(std::make_unique<QConv2d>(
                 c->weight(), c->bias(), c->geometry(),
                 tensor::chooseQuantParams(lo, hi)));
-        } else if (dynamic_cast<Relu *>(l) != nullptr) {
+        } else if (dynamic_cast<const Relu *>(l) != nullptr) {
             out.add(std::make_unique<Relu>());
-        } else if (auto *p = dynamic_cast<MaxPool2d *>(l)) {
+        } else if (auto *p = dynamic_cast<const MaxPool2d *>(l)) {
             out.add(std::make_unique<MaxPool2d>(p->kernel(),
                                                 p->stride()));
-        } else if (dynamic_cast<GlobalAvgPool *>(l) != nullptr) {
+        } else if (dynamic_cast<const GlobalAvgPool *>(l) != nullptr) {
             out.add(std::make_unique<GlobalAvgPool>());
-        } else if (dynamic_cast<Flatten *>(l) != nullptr) {
+        } else if (dynamic_cast<const Flatten *>(l) != nullptr) {
             out.add(std::make_unique<Flatten>());
         } else {
             panic("quantizeNetwork: unsupported layer ", l->name());
         }
-        x = l->forward(x, false);
+        x = l->infer(x);
     }
     return out;
 }

@@ -12,9 +12,11 @@
  * MAC accounting (MACs describe the architecture, not the datatype),
  * ~4× smaller weights, and an integer hot loop.
  *
- * Quantized layers are inference-only: backward() panics and
- * params() is empty, so they are invisible to the optimizer and the
- * weight serializer.
+ * Quantized layers are inference-only: forward() is infer(),
+ * backward() panics and params() is empty, so they are invisible to
+ * the optimizer and the weight serializer. Their int8 scratch comes
+ * from the calling thread's arena (tensor::ScratchBuffer), so
+ * concurrent requests on one "-q8" network share no buffer.
  */
 
 #ifndef TOLTIERS_NN_QUANTIZED_HH
@@ -42,9 +44,13 @@ class QDense : public Layer
            const tensor::QuantParams &in_quant);
 
     std::string name() const override { return "qdense"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override
+    {
+        return infer(in);
+    }
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
   private:
     std::size_t in_;
@@ -54,8 +60,6 @@ class QDense : public Layer
     std::vector<float> wScale_;       //!< Per-output-channel scale.
     std::vector<std::int32_t> colSum_; //!< Per-column weight sums.
     std::vector<float> bias_;
-    std::vector<std::int8_t> qin_;    //!< Reused input scratch.
-    std::vector<std::int32_t> acc_;   //!< Reused accumulator scratch.
 };
 
 /** int8 convolution via im2col + int8 GEMM (inference only). */
@@ -73,9 +77,13 @@ class QConv2d : public Layer
             const tensor::QuantParams &in_quant);
 
     std::string name() const override { return "qconv2d"; }
-    tensor::Tensor forward(const tensor::Tensor &in,
-                           bool train) override;
+    tensor::Tensor infer(const tensor::Tensor &in) const override;
+    tensor::Tensor forward(const tensor::Tensor &in) override
+    {
+        return infer(in);
+    }
     tensor::Tensor backward(const tensor::Tensor &d_out) override;
+    std::uint64_t macs(const tensor::Shape &in) const override;
 
   private:
     tensor::ConvGeometry g_;
@@ -86,8 +94,6 @@ class QConv2d : public Layer
     std::vector<float> wScale_;        //!< Per-filter scale.
     std::vector<std::int32_t> rowSum_; //!< Per-filter weight sums.
     std::vector<float> bias_;
-    std::vector<std::int8_t> qcols_;   //!< Reused column scratch.
-    std::vector<std::int32_t> acc_;    //!< Reused accumulator scratch.
 };
 
 /**
@@ -96,11 +102,11 @@ class QConv2d : public Layer
  * is pushed through the float layers to record each Conv2d/Dense
  * input range. Throws via panic on layer types it cannot map.
  *
- * @param net trained float network (forward passes are run on it).
+ * @param net trained float network (inference passes are run on it).
  * @param calibration representative input batch.
  * @param name name of the quantized network.
  */
-Network quantizeNetwork(Network &net,
+Network quantizeNetwork(const Network &net,
                         const tensor::Tensor &calibration,
                         std::string name);
 

@@ -81,7 +81,7 @@ SgdTrainer::train(Network &net, const Tensor &images,
                 batch_labels[i] = labels[rows[i]];
 
             net.zeroGrad();
-            Tensor logits = net.forward(batch, true);
+            Tensor logits = net.forward(batch);
             Tensor probs = tensor::softmaxRows(logits);
             loss_sum += tensor::crossEntropy(probs, batch_labels);
             for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace toltiers::tensor {
@@ -122,6 +123,42 @@ class ArenaScope
  * over this arena so concurrent requests never share scratch.
  */
 Arena &inferenceArena();
+
+/**
+ * Uninitialized scratch for n elements of a trivially copyable T,
+ * owned by one call: drawn from the calling thread's active
+ * ArenaScope when one is live (so a warm inference pass stays off
+ * the heap), otherwise from the heap and freed with the buffer.
+ * Layers use it instead of member buffers, which is what keeps their
+ * inference path reentrant.
+ */
+template <typename T>
+class ScratchBuffer
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      alignof(T) <= Arena::kAlignment,
+                  "scratch holds plain values");
+
+  public:
+    explicit ScratchBuffer(std::size_t n)
+    {
+        if (Arena *arena = ArenaScope::current()) {
+            ptr_ = static_cast<T *>(arena->allocate(n * sizeof(T)));
+        } else {
+            heap_ = std::make_unique_for_overwrite<T[]>(n);
+            ptr_ = heap_.get();
+        }
+    }
+
+    ScratchBuffer(const ScratchBuffer &) = delete;
+    ScratchBuffer &operator=(const ScratchBuffer &) = delete;
+
+    T *data() { return ptr_; }
+
+  private:
+    T *ptr_ = nullptr;
+    std::unique_ptr<T[]> heap_; //!< Null when arena-backed.
+};
 
 /** Process-wide tensor heap-storage counters (all threads). */
 struct MemoryStats

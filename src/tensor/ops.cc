@@ -109,32 +109,37 @@ Tensor
 im2col(const Tensor &in, std::size_t sample, const ConvGeometry &g)
 {
     TT_ASSERT(in.rank() == 4, "im2col expects NCHW input");
+    TT_ASSERT(sample < in.dim(0), "im2col sample out of range");
     std::size_t c = in.dim(1), h = in.dim(2), w = in.dim(3);
     std::size_t oh = g.outExtent(h), ow = g.outExtent(w);
     Tensor cols({c * g.kernel * g.kernel, oh * ow});
     float *pc = cols.data();
+    const float *src = in.data() + sample * c * h * w;
 
+    // cols is zero-initialized, so every padding cell (an input
+    // coordinate outside the image) is simply left alone.
     std::size_t row = 0;
-    for (std::size_t ch = 0; ch < c; ++ch) {
+    for (std::size_t ch = 0; ch < c; ++ch, src += h * w) {
         for (std::size_t ky = 0; ky < g.kernel; ++ky) {
             for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
                 float *dst = pc + row * (oh * ow);
+                // Output columns whose input column is inside the
+                // image: ox in [ox_lo, ox_hi).
+                std::size_t ox_lo = 0;
+                while (ox_lo < ow && ox_lo * g.stride + kx < g.pad)
+                    ++ox_lo;
+                std::size_t ox_hi = ox_lo;
+                while (ox_hi < ow &&
+                       ox_hi * g.stride + kx < g.pad + w)
+                    ++ox_hi;
                 for (std::size_t oy = 0; oy < oh; ++oy) {
-                    long iy = static_cast<long>(oy * g.stride + ky) -
-                              static_cast<long>(g.pad);
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        long ix =
-                            static_cast<long>(ox * g.stride + kx) -
-                            static_cast<long>(g.pad);
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < static_cast<long>(h) &&
-                            ix >= 0 && ix < static_cast<long>(w)) {
-                            v = in.at4(sample, ch,
-                                       static_cast<std::size_t>(iy),
-                                       static_cast<std::size_t>(ix));
-                        }
-                        dst[oy * ow + ox] = v;
-                    }
+                    std::size_t iy = oy * g.stride + ky;
+                    if (iy < g.pad || iy >= g.pad + h)
+                        continue;
+                    const float *srow = src + (iy - g.pad) * w;
+                    float *drow = dst + oy * ow;
+                    for (std::size_t ox = ox_lo; ox < ox_hi; ++ox)
+                        drow[ox] = srow[ox * g.stride + kx - g.pad];
                 }
             }
         }
@@ -198,20 +203,19 @@ conv2dForward(const Tensor &in, const Tensor &w, const Tensor &bias,
     std::size_t oh = g.outExtent(h), ow = g.outExtent(wd);
     Tensor out({n, f, oh, ow});
     std::size_t ckk = c * g.kernel * g.kernel;
+    std::size_t ohow = oh * ow;
 
     for (std::size_t s = 0; s < n; ++s) {
         Tensor cols = im2col(in, s, g);
-        // Weights viewed in place as [F, C*KH*KW]: res = W · cols.
-        Tensor res({f, oh * ow});
-        kernels::gemmF32(w.data(), cols.data(), res.data(), f, ckk,
-                         oh * ow);
-        for (std::size_t ff = 0; ff < f; ++ff) {
-            const float *src = res.data() + ff * (oh * ow);
-            float *dst =
-                out.data() + ((s * f + ff) * oh) * ow;
+        // Weights viewed in place as [F, C*KH*KW]; the GEMM
+        // accumulates W · cols straight into this sample's
+        // zero-initialized output slice, then the bias is added.
+        float *dst = out.data() + s * f * ohow;
+        kernels::gemmF32(w.data(), cols.data(), dst, f, ckk, ohow);
+        for (std::size_t ff = 0; ff < f; ++ff, dst += ohow) {
             float b = bias[ff];
-            for (std::size_t i = 0; i < oh * ow; ++i)
-                dst[i] = src[i] + b;
+            for (std::size_t i = 0; i < ohow; ++i)
+                dst[i] += b;
         }
     }
     return out;
@@ -272,14 +276,14 @@ maxPool2dForward(const Tensor &in, std::size_t kernel,
                  std::size_t stride)
 {
     PoolResult res;
-    res.out = maxPool2dForward(in, kernel, stride, res.argmax);
+    res.out = maxPool2dForward(in, kernel, stride, &res.argmax);
     return res;
 }
 
 Tensor
 maxPool2dForward(const Tensor &in, std::size_t kernel,
                  std::size_t stride,
-                 std::vector<std::uint32_t> &argmax)
+                 std::vector<std::uint32_t> *argmax)
 {
     TT_ASSERT(in.rank() == 4, "maxPool2d expects NCHW");
     std::size_t n = in.dim(0), c = in.dim(1);
@@ -289,7 +293,8 @@ maxPool2dForward(const Tensor &in, std::size_t kernel,
     std::size_t ow = (w - kernel) / stride + 1;
 
     Tensor out({n, c, oh, ow});
-    argmax.resize(out.size());
+    if (argmax != nullptr)
+        argmax->resize(out.size());
 
     std::size_t oidx = 0;
     for (std::size_t s = 0; s < n; ++s) {
@@ -312,8 +317,9 @@ maxPool2dForward(const Tensor &in, std::size_t kernel,
                         }
                     }
                     out[oidx] = best;
-                    argmax[oidx] =
-                        static_cast<std::uint32_t>(best_idx);
+                    if (argmax != nullptr)
+                        (*argmax)[oidx] =
+                            static_cast<std::uint32_t>(best_idx);
                 }
             }
         }

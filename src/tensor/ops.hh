@@ -96,13 +96,14 @@ PoolResult maxPool2dForward(const Tensor &in, std::size_t kernel,
                             std::size_t stride);
 
 /**
- * Allocation-lean max pooling: writes argmax into a caller-owned
- * buffer (resized in place, so a warm buffer is reused) and returns
- * the pooled tensor.
+ * Allocation-lean max pooling: returns the pooled tensor and, when
+ * argmax is non-null, writes the argmax indices into that
+ * caller-owned buffer (resized in place, so a warm buffer is
+ * reused). Inference passes null and records nothing.
  */
 Tensor maxPool2dForward(const Tensor &in, std::size_t kernel,
                         std::size_t stride,
-                        std::vector<std::uint32_t> &argmax);
+                        std::vector<std::uint32_t> *argmax);
 
 /** Route gradients back through the recorded argmax indices. */
 Tensor maxPool2dBackward(const Tensor &d_out,

@@ -40,7 +40,7 @@ TEST(Zoo, AllNetworksBuildAndForward)
     for (const auto &spec : ti::zooSpecs()) {
         auto net = ti::buildZooNetwork(spec.name, 12, 10, rng);
         toltiers::tensor::Tensor in({2, 1, 12, 12});
-        auto logits = net.forward(in, false);
+        auto logits = net.infer(in);
         EXPECT_EQ(logits.dim(0), 2u);
         EXPECT_EQ(logits.dim(1), 10u) << spec.name;
     }

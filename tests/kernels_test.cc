@@ -6,11 +6,16 @@
  * The suites prove the three contracts the inference hot path rests
  * on:
  *
- *  - Equivalence: the Blocked float GEMM is **bit-identical** to the
- *    scalar Reference oracle on random streams and edge shapes, the
- *    int8 GEMM matches an independent integer model exactly, and an
- *    all-ones K=129 dot product pins the int32-accumulator contract
- *    (an int8 accumulator would wrap at K=128).
+ *  - Equivalence: the shipping float GEMM (gemmF32) is
+ *    **bit-identical** to the scalar Reference oracle on random
+ *    streams, edge shapes, every column and row tail and every zoo
+ *    GEMM shape; matmul and conv2d match the oracle run over an
+ *    index-by-index im2col; every zoo network and its "-q8" sibling
+ *    reproduce the committed logits bit for bit
+ *    (tests/golden/zoo_forward.txt); the int8 GEMM matches an
+ *    independent integer model exactly, and an all-ones K=129 dot
+ *    product pins the int32-accumulator contract (an int8
+ *    accumulator would wrap at K=128).
  *  - Quantization: round-trip error is bounded by half a scale step,
  *    zero always quantizes exactly, saturation stops at ±127, the
  *    dequantization zero-point correction is exact on grid-aligned
@@ -27,6 +32,9 @@
  *    which answers it on the submitting thread — performs **zero**
  *    heap allocations (every telemetry handle is cached; no
  *    registry lookup remains).
+ *  - Reentrancy: eight threads classifying through each of the ten
+ *    IC versions at once get exactly the serial results, so no
+ *    layer shares scratch between concurrent requests.
  *
  * The routing-rule suite closes the loop of ISSUE 8: a trace over
  * the widened float+int8 ladder must yield a generated rule table
@@ -36,12 +44,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <new>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -56,6 +70,7 @@
 #include "ic/trainer.hh"
 #include "ic/zoo.hh"
 #include "nn/quantized.hh"
+#include "nn/sgd.hh"
 #include "obs/obs.hh"
 #include "serving/cache.hh"
 #include "serving/request.hh"
@@ -137,14 +152,6 @@ namespace {
 
 // ------------------------------------------------------- helpers
 
-/** Restore the process-wide kernel backend on scope exit. */
-struct BackendGuard
-{
-    tt::KernelBackend saved;
-    BackendGuard() : saved(tt::kernelPolicy().backend) {}
-    ~BackendGuard() { tt::setKernelBackend(saved); }
-};
-
 /**
  * Deterministic float stream with exact zeros sprinkled in (every
  * seventh element), so the kernels' skip-zero fast path is exercised
@@ -171,25 +178,73 @@ randomTensor(tt::Shape shape, tc::Pcg32 &rng)
     return t;
 }
 
+bool
+sameBits(const float *a, const float *b, std::size_t n)
+{
+    return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
 // ----------------------------------------------- float GEMM oracle
 
-/** Shapes covering tile boundaries, remainders, and empty axes. */
+/** Shapes covering tiles, every tail, empty axes and the zoo. */
 struct GemmShape
 {
     std::size_t m, k, n;
 };
 
 const GemmShape kGemmShapes[] = {
+    // Edges.
     {1, 1, 1},    // minimal
     {1, 5, 1},    // odd K, single output
     {3, 7, 5},    // everything below one tile
-    {4, 64, 64},  // exact MR x NB tile
-    {5, 3, 65},   // one column past the NB tile
-    {8, 129, 66}, // K past the int8 wrap point, j remainder
+    {4, 64, 64},  // whole 4x12 tiles plus a 4-column tail
+    {5, 3, 65},   // one row and one column past the tiles
+    {8, 129, 66}, // K past the int8 wrap point
     {17, 31, 129},
     {2, 0, 3},    // K = 0: C must be untouched
     {0, 4, 5},    // M = 0
     {6, 4, 0},    // N = 0
+    // Every column tail, n mod 12 = 1..11, with m mod 4 != 0 or
+    // m = 1 (the leftover-row path).
+    {1, 11, 13},
+    {2, 12, 14},
+    {3, 13, 15},
+    {5, 14, 16},
+    {6, 15, 17},
+    {7, 16, 18},
+    {1, 17, 19},
+    {2, 18, 20},
+    {3, 19, 21},
+    {5, 20, 22},
+    {6, 21, 23},
+    {9, 7, 24},
+    // Narrow outputs on whole row blocks.
+    {4, 6, 2},
+    {4, 6, 3},
+    {4, 6, 4},
+    {4, 6, 7},
+    {4, 6, 8},
+    {4, 6, 11},
+    // Every zoo GEMM on a 12x12 image: convolutions as filters x
+    // C*3*3 x output pixels, dense layers as 1 x in x out.
+    {1, 144, 48}, // mlp-s
+    {1, 48, 10},
+    {6, 9, 144}, // cnn-xs
+    {1, 216, 10},
+    {8, 9, 144}, // cnn-s
+    {16, 72, 36},
+    {1, 144, 10},
+    {12, 9, 144}, // cnn-m
+    {24, 108, 144},
+    {32, 216, 36},
+    {1, 288, 64},
+    {1, 64, 10},
+    {16, 9, 144}, // cnn-l
+    {32, 144, 144},
+    {48, 288, 36},
+    {48, 432, 36},
+    {1, 432, 96},
+    {1, 96, 10},
 };
 
 TEST(GemmEquivalence, BlockedIsBitExactOnRandomStreams)
@@ -198,21 +253,46 @@ TEST(GemmEquivalence, BlockedIsBitExactOnRandomStreams)
     for (const auto &s : kGemmShapes) {
         auto a = randomStream(s.m * s.k, ++task);
         auto b = randomStream(s.k * s.n, ++task);
-        // Both backends accumulate into the same nonzero prefill:
+        // Both kernels accumulate into the same nonzero prefill:
         // the C += A.B contract must match bitwise too.
         auto c_ref = randomStream(s.m * s.n, ++task);
-        auto c_blk = c_ref;
+        auto c_got = c_ref;
         tk::gemmF32Reference(a.data(), b.data(), c_ref.data(), s.m,
                              s.k, s.n);
-        tk::gemmF32Blocked(a.data(), b.data(), c_blk.data(), s.m,
-                           s.k, s.n);
-        if (!c_ref.empty()) {
-            ASSERT_EQ(std::memcmp(c_ref.data(), c_blk.data(),
-                                  c_ref.size() * sizeof(float)),
-                      0)
-                << "shape " << s.m << "x" << s.k << "x" << s.n;
-        }
+        tk::gemmF32(a.data(), b.data(), c_got.data(), s.m, s.k, s.n);
+        ASSERT_TRUE(sameBits(c_ref.data(), c_got.data(), c_ref.size()))
+            << "shape " << s.m << "x" << s.k << "x" << s.n;
     }
+}
+
+TEST(GemmEquivalence, ZeroAEntriesAreSkippedNotMultiplied)
+{
+    // Skipping a zero A entry differs from adding 0*b when b is
+    // infinite or NaN (0*inf is NaN) and when C holds -0.0 (-0 + +0
+    // is +0). B carries inf and NaN exactly in the rows that meet
+    // zero A entries (+0 and -0), C starts at -0.0, and the kernel
+    // must still match the oracle bit for bit: nothing was added.
+    const std::size_t m = 6, k = 5, n = 27;
+    std::vector<float> a = randomStream(m * k, 201);
+    for (std::size_t i = 0; i < m; ++i) {
+        a[i * k + 1] = 0.0f;
+        a[i * k + 3] = i % 2 == 0 ? -0.0f : 0.0f;
+    }
+    a[2 * k + 4] = 0.0f; // one row of a 4-row block only
+    std::vector<float> b = randomStream(k * n, 202);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t j = 0; j < n; ++j) {
+        b[1 * n + j] = j % 2 == 0 ? inf : nan;
+        b[3 * n + j] = -inf;
+    }
+    // Row 5 is all zeros: its -0.0 prefill must survive untouched.
+    std::fill(a.begin() + 5 * k, a.begin() + 6 * k, 0.0f);
+    std::vector<float> c_ref(m * n, -0.0f), c_got(m * n, -0.0f);
+    tk::gemmF32Reference(a.data(), b.data(), c_ref.data(), m, k, n);
+    tk::gemmF32(a.data(), b.data(), c_got.data(), m, k, n);
+    EXPECT_TRUE(sameBits(c_ref.data(), c_got.data(), c_ref.size()));
+    EXPECT_TRUE(std::signbit(c_got[5 * n]));
 }
 
 TEST(GemmEquivalence, ZeroKLeavesAccumulatorUntouched)
@@ -220,80 +300,191 @@ TEST(GemmEquivalence, ZeroKLeavesAccumulatorUntouched)
     auto c = randomStream(6, 77);
     auto want = c;
     const float dummy[1] = {0.0f};
-    tk::gemmF32Blocked(dummy, dummy, c.data(), 2, 0, 3);
-    EXPECT_EQ(std::memcmp(c.data(), want.data(),
-                          c.size() * sizeof(float)),
-              0);
+    tk::gemmF32(dummy, dummy, c.data(), 2, 0, 3);
+    EXPECT_TRUE(sameBits(c.data(), want.data(), c.size()));
 }
 
-TEST(GemmEquivalence, DispatcherHonorsBackendSelection)
+/**
+ * The column matrix of one NCHW sample, read element by element
+ * through Tensor::at4 — the original im2col, kept as the oracle of
+ * the pointer-walking one in tensor/ops.cc.
+ */
+tt::Tensor
+indexedIm2col(const tt::Tensor &in, std::size_t sample,
+              const tt::ConvGeometry &g)
 {
-    BackendGuard guard;
-    auto a = randomStream(5 * 9, 101);
-    auto b = randomStream(9 * 7, 102);
-    std::vector<float> c_ref(5 * 7, 0.0f), c_blk(5 * 7, 0.0f);
-
-    tt::setKernelBackend(tt::KernelBackend::Reference);
-    EXPECT_EQ(tt::kernelPolicy().backend,
-              tt::KernelBackend::Reference);
-    tk::gemmF32(a.data(), b.data(), c_ref.data(), 5, 9, 7);
-
-    tt::setKernelBackend(tt::KernelBackend::Blocked);
-    tk::gemmF32(a.data(), b.data(), c_blk.data(), 5, 9, 7);
-    EXPECT_EQ(std::memcmp(c_ref.data(), c_blk.data(),
-                          c_ref.size() * sizeof(float)),
-              0);
+    std::size_t c = in.dim(1), h = in.dim(2), w = in.dim(3);
+    std::size_t oh = g.outExtent(h), ow = g.outExtent(w);
+    tt::Tensor cols({c * g.kernel * g.kernel, oh * ow});
+    std::size_t row = 0;
+    for (std::size_t ch = 0; ch < c; ++ch) {
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    for (std::size_t ox = 0; ox < ow; ++ox) {
+                        long iy = static_cast<long>(oy * g.stride + ky) -
+                                  static_cast<long>(g.pad);
+                        long ix = static_cast<long>(ox * g.stride + kx) -
+                                  static_cast<long>(g.pad);
+                        float v = 0.0f;
+                        if (iy >= 0 && iy < static_cast<long>(h) &&
+                            ix >= 0 && ix < static_cast<long>(w)) {
+                            v = in.at4(sample, ch,
+                                       static_cast<std::size_t>(iy),
+                                       static_cast<std::size_t>(ix));
+                        }
+                        cols.at2(row, oy * ow + ox) = v;
+                    }
+                }
+            }
+        }
+    }
+    return cols;
 }
 
-TEST(GemmEquivalence, BackendNamesRoundTrip)
+TEST(GemmEquivalence, Im2colMatchesIndexedOracle)
 {
-    auto ref = tt::parseKernelBackend("reference");
-    ASSERT_TRUE(ref.has_value());
-    EXPECT_EQ(*ref, tt::KernelBackend::Reference);
-    auto blk = tt::parseKernelBackend("blocked");
-    ASSERT_TRUE(blk.has_value());
-    EXPECT_EQ(*blk, tt::KernelBackend::Blocked);
-    EXPECT_FALSE(tt::parseKernelBackend("avx-512").has_value());
-    EXPECT_STREQ(tt::kernelBackendName(tt::KernelBackend::Reference),
-                 "reference");
-    EXPECT_STREQ(tt::kernelBackendName(tt::KernelBackend::Blocked),
-                 "blocked");
+    tc::Pcg32 rng(4);
+    tt::Tensor in = randomTensor({2, 3, 7, 6}, rng);
+    const tt::ConvGeometry geometries[] = {
+        {3, 1, 1}, {3, 1, 0}, {3, 2, 1}, {1, 1, 0},
+        {5, 1, 2}, {5, 2, 3}, {2, 2, 0}, {3, 3, 2},
+    };
+    for (const auto &g : geometries) {
+        for (std::size_t s = 0; s < 2; ++s) {
+            tt::Tensor want = indexedIm2col(in, s, g);
+            tt::Tensor got = tt::im2col(in, s, g);
+            ASSERT_EQ(got.shape(), want.shape());
+            EXPECT_TRUE(sameBits(got.data(), want.data(), got.size()))
+                << "kernel " << g.kernel << " stride " << g.stride
+                << " pad " << g.pad << " sample " << s;
+        }
+    }
 }
 
 TEST(GemmEquivalence, OpsMatmulIsBackendInvariant)
 {
-    BackendGuard guard;
     tc::Pcg32 rng(5);
     tt::Tensor a = randomTensor({7, 9}, rng);
     tt::Tensor b = randomTensor({9, 11}, rng);
 
-    tt::setKernelBackend(tt::KernelBackend::Reference);
-    tt::Tensor ref = tt::matmul(a, b);
-    tt::setKernelBackend(tt::KernelBackend::Blocked);
-    tt::Tensor blk = tt::matmul(a, b);
-    ASSERT_EQ(ref.size(), blk.size());
-    EXPECT_EQ(std::memcmp(ref.data(), blk.data(),
-                          ref.size() * sizeof(float)),
-              0);
+    std::vector<float> ref(7 * 11, 0.0f);
+    tk::gemmF32Reference(a.data(), b.data(), ref.data(), 7, 9, 11);
+    tt::Tensor got = tt::matmul(a, b);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_TRUE(sameBits(got.data(), ref.data(), ref.size()));
 }
 
 TEST(GemmEquivalence, OpsConvIsBackendInvariant)
 {
-    BackendGuard guard;
     tc::Pcg32 rng(6);
     tt::Tensor in = randomTensor({2, 3, 8, 8}, rng);
     tt::Tensor w = randomTensor({4, 3, 3, 3}, rng);
     tt::Tensor bias = randomTensor({4}, rng);
     tt::ConvGeometry g;
 
-    tt::setKernelBackend(tt::KernelBackend::Reference);
-    tt::Tensor ref = tt::conv2dForward(in, w, bias, g);
-    tt::setKernelBackend(tt::KernelBackend::Blocked);
-    tt::Tensor blk = tt::conv2dForward(in, w, bias, g);
-    ASSERT_EQ(ref.size(), blk.size());
-    EXPECT_EQ(std::memcmp(ref.data(), blk.data(),
-                          ref.size() * sizeof(float)),
-              0);
+    // Oracle: per sample, the Reference GEMM over the indexed im2col
+    // into a zeroed [F, OH*OW] block, then the bias added.
+    std::size_t ohow = 8 * 8;
+    std::vector<float> ref(2 * 4 * ohow, 0.0f);
+    for (std::size_t s = 0; s < 2; ++s) {
+        tt::Tensor cols = indexedIm2col(in, s, g);
+        std::vector<float> res(4 * ohow, 0.0f);
+        tk::gemmF32Reference(w.data(), cols.data(), res.data(), 4,
+                             3 * 3 * 3, ohow);
+        for (std::size_t f = 0; f < 4; ++f) {
+            for (std::size_t i = 0; i < ohow; ++i)
+                ref[(s * 4 + f) * ohow + i] =
+                    res[f * ohow + i] + bias[f];
+        }
+    }
+    tt::Tensor got = tt::conv2dForward(in, w, bias, g);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_TRUE(sameBits(got.data(), ref.data(), ref.size()));
+}
+
+// ------------------------------------------- whole-network golden
+//
+// The logits of every zoo network and of its "-q8" sibling, printed
+// with %a (every bit), pinned in tests/golden/zoo_forward.txt. The
+// weights come from a fixed seed (untrained: a forward pass does not
+// care), the siblings are quantized over a fixed calibration batch,
+// and the inputs are fixed-seed synthetic images plus an all-zero
+// and a negative-valued one. Regenerate with
+// TT_UPDATE_GOLDEN=1 ./kernels_test.
+
+/** The golden's inputs, each a batch of one [1, 1, 12, 12] image. */
+std::vector<tt::Tensor>
+zooForwardInputs()
+{
+    td::ImageSetConfig dc;
+    dc.count = 6;
+    dc.seed = 20261019;
+    td::ImageSet set = td::buildImageSet(dc);
+    std::vector<tt::Tensor> inputs;
+    for (std::size_t i = 0; i < set.count(); ++i)
+        inputs.push_back(tn::gatherBatch(set.images, {i}));
+    tt::Tensor zero({1, 1, dc.size, dc.size});
+    inputs.push_back(zero);
+    tc::Pcg32 rng(20261020);
+    tt::Tensor negative({1, 1, dc.size, dc.size});
+    negative.randomUniform(rng, -1.5f, 0.25f);
+    inputs.push_back(negative);
+    return inputs;
+}
+
+/** One line per (network, input): the name, the index, the logits. */
+std::string
+zooForwardReport()
+{
+    std::vector<tt::Tensor> inputs = zooForwardInputs();
+    td::ImageSetConfig cc;
+    cc.count = 16;
+    cc.seed = 20261021;
+    td::ImageSet calib_set = td::buildImageSet(cc);
+    std::vector<std::size_t> rows(calib_set.count());
+    std::iota(rows.begin(), rows.end(), 0);
+    tt::Tensor calib = tn::gatherBatch(calib_set.images, rows);
+
+    std::string out;
+    char buf[64];
+    for (const auto &spec : ti::zooSpecs()) {
+        tc::Pcg32 rng(20261022);
+        tn::Network net = ti::buildZooNetwork(spec.name, cc.size,
+                                              td::kImageClasses, rng);
+        tn::Network qnet = tn::quantizeNetwork(
+            net, calib, spec.name + ti::kQuantizedSuffix);
+        for (const tn::Network *n : {&net, &qnet}) {
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                tt::Tensor logits = n->infer(inputs[i]);
+                out += n->name() + " " + std::to_string(i) + ":";
+                for (std::size_t j = 0; j < logits.size(); ++j) {
+                    std::snprintf(buf, sizeof buf, " %a",
+                                  static_cast<double>(logits[j]));
+                    out += buf;
+                }
+                out += "\n";
+            }
+        }
+    }
+    return out;
+}
+
+TEST(ZooForward, LogitsMatchGolden)
+{
+    const std::string path =
+        std::string(TT_GOLDEN_DIR) + "/zoo_forward.txt";
+    std::string got = zooForwardReport();
+    if (std::getenv("TT_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream(path) << got;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden " << path
+                    << " — regenerate with TT_UPDATE_GOLDEN=1";
+    std::string want((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want);
 }
 
 // ------------------------------------------------------ int8 GEMM
@@ -442,7 +633,7 @@ TEST(QuantizedLayers, DenseIsExactOnGridAlignedValues)
     in.at2(1, 1) = (-100 - 10) * s;
 
     tn::QDense q(w, b, in_quant);
-    tt::Tensor out = q.forward(in, false);
+    tt::Tensor out = q.infer(in);
     ASSERT_EQ(out.dim(0), 2u);
     ASSERT_EQ(out.dim(1), 2u);
     for (std::size_t r = 0; r < 2; ++r) {
@@ -475,7 +666,7 @@ TEST(QuantizedLayers, ConvMatchesFloatOnGridAlignedValues)
     // zp = 5: the im2col padding quantizes to the zero point and the
     // row-sum correction must remove it exactly.
     tn::QConv2d q(w, bias, g, tt::QuantParams{s, 5});
-    tt::Tensor got = q.forward(in, false);
+    tt::Tensor got = q.infer(in);
     tt::Tensor want = tt::conv2dForward(in, w, bias, g);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i)
@@ -495,13 +686,15 @@ TEST(QuantizedLayers, QuantizedNetworkTracksFloatNetwork)
 
     tt::Tensor probe({2, 1, 12, 12});
     probe.randomUniform(rng, 0.0f, 1.0f);
-    tt::Tensor ref = net.forward(probe, false);
-    tt::Tensor got = qnet.forward(probe, false);
+    std::uint64_t ref_macs = 0, got_macs = 0;
+    tt::Tensor ref = net.infer(probe, &ref_macs);
+    tt::Tensor got = qnet.infer(probe, &got_macs);
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_NEAR(got.data()[i], ref.data()[i], 0.25f) << i;
     // MACs describe the architecture, not the datatype.
-    EXPECT_EQ(qnet.lastForwardMacs(), net.lastForwardMacs());
+    EXPECT_EQ(got_macs, ref_macs);
+    EXPECT_GT(ref_macs, 0u);
 }
 
 TEST(QuantizedLayers, BackwardPanics)
@@ -604,8 +797,8 @@ TEST(Arena, WarmForwardPassIsHeapFree)
     for (int warm = 0; warm < 2; ++warm) {
         arena.reset();
         tt::ArenaScope scope(arena);
-        net.forward(probe, false);
-        qnet.forward(probe, false);
+        net.infer(probe);
+        qnet.infer(probe);
     }
 
     tt::MemoryStats mem_before = tt::memoryStats();
@@ -613,8 +806,8 @@ TEST(Arena, WarmForwardPassIsHeapFree)
     {
         arena.reset();
         tt::ArenaScope scope(arena);
-        net.forward(probe, false);
-        qnet.forward(probe, false);
+        net.infer(probe);
+        qnet.infer(probe);
     }
     std::uint64_t heap_delta = g_heap_allocs.load() - heap_before;
     tt::MemoryStats mem_after = tt::memoryStats();
@@ -845,6 +1038,72 @@ TEST(QuantizedAccuracy, SiblingsShareArchitectureNotLatency)
         EXPECT_DOUBLE_EQ(q.latencyModel().secondsPerMac,
                          f.latencyModel().secondsPerMac *
                              ti::kInt8MacRateFactor);
+    }
+}
+
+// ------------------------------------------- reentrant inference
+
+TEST(ConcurrentInference, EightThreadsMatchSerialOnEveryVersion)
+{
+    // Every IC version, float and "-q8", is one shared Classifier
+    // that the serving pool calls from several threads at once. Eight
+    // threads run each version together, each on its own rotation of
+    // the images so concurrent calls carry different inputs; every
+    // result must equal the serial one byte for byte.
+    const TinyStack &s = tinyStack();
+    ASSERT_EQ(s.zoo.size(), 10u);
+    constexpr std::size_t kImages = 24;
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::vector<ti::IcResult>> serial(s.zoo.size());
+    for (std::size_t v = 0; v < s.zoo.size(); ++v) {
+        for (std::size_t i = 0; i < kImages; ++i)
+            serial[v].push_back(s.zoo[v].classify(s.test, i));
+    }
+
+    // got[t][v][i]: thread t's result for version v, image i.
+    std::vector<std::vector<std::vector<ti::IcResult>>> got(
+        kThreads, std::vector<std::vector<ti::IcResult>>(
+                      s.zoo.size(), std::vector<ti::IcResult>(kImages)));
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            for (std::size_t v = 0; v < s.zoo.size(); ++v) {
+                for (std::size_t r = 0; r < kImages; ++r) {
+                    std::size_t i = (r + 3 * t) % kImages;
+                    got[t][v][i] = s.zoo[v].classify(s.test, i);
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    auto sameDouble = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (std::size_t v = 0; v < s.zoo.size(); ++v) {
+        std::size_t mismatches = 0;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            for (std::size_t i = 0; i < kImages; ++i) {
+                const ti::IcResult &a = serial[v][i];
+                const ti::IcResult &b = got[t][v][i];
+                bool same = a.label == b.label &&
+                            a.className == b.className &&
+                            sameDouble(a.confidence, b.confidence) &&
+                            sameDouble(a.margin, b.margin) &&
+                            a.macs == b.macs &&
+                            sameDouble(a.latencySeconds,
+                                       b.latencySeconds);
+                mismatches += same ? 0 : 1;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << s.zoo[v].name() << ": concurrent results differ from "
+            << "the serial run";
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 
@@ -63,10 +64,10 @@ TEST(Layers, DenseForwardShape)
     tc::Pcg32 rng(1);
     tn::Dense d(4, 3, rng);
     Tensor in({2, 4});
-    Tensor out = d.forward(in, false);
+    Tensor out = d.infer(in);
     EXPECT_EQ(out.dim(0), 2u);
     EXPECT_EQ(out.dim(1), 3u);
-    EXPECT_EQ(d.lastMacs(), 2u * 4u * 3u);
+    EXPECT_EQ(d.macs(in.shape()), 2u * 4u * 3u);
 }
 
 TEST(Layers, DenseParamsExposed)
@@ -86,18 +87,18 @@ TEST(Layers, Conv2dForwardShapeAndMacs)
     ConvGeometry g{3, 1, 1};
     tn::Conv2d c(2, 5, g, rng);
     Tensor in({3, 2, 6, 6});
-    Tensor out = c.forward(in, false);
+    Tensor out = c.infer(in);
     EXPECT_EQ(out.dim(0), 3u);
     EXPECT_EQ(out.dim(1), 5u);
     EXPECT_EQ(out.dim(2), 6u);
-    EXPECT_EQ(c.lastMacs(), 3ull * 5 * 6 * 6 * 2 * 9);
+    EXPECT_EQ(c.macs(in.shape()), 3ull * 5 * 6 * 6 * 2 * 9);
 }
 
 TEST(Layers, FlattenRoundTrip)
 {
     tn::Flatten f;
     Tensor in({2, 3, 4, 4});
-    Tensor out = f.forward(in, false);
+    Tensor out = f.forward(in);
     EXPECT_EQ(out.dim(0), 2u);
     EXPECT_EQ(out.dim(1), 48u);
     Tensor back = f.backward(out);
@@ -108,7 +109,7 @@ TEST(Layers, MaxPoolShape)
 {
     tn::MaxPool2d p(2, 2);
     Tensor in({1, 3, 8, 8});
-    Tensor out = p.forward(in, false);
+    Tensor out = p.forward(in);
     EXPECT_EQ(out.dim(2), 4u);
     Tensor back = p.backward(out);
     EXPECT_EQ(back.shape(), in.shape());
@@ -118,7 +119,7 @@ TEST(Layers, GapShape)
 {
     tn::GlobalAvgPool gap;
     Tensor in({2, 5, 3, 3});
-    Tensor out = gap.forward(in, false);
+    Tensor out = gap.infer(in);
     EXPECT_EQ(out.dim(0), 2u);
     EXPECT_EQ(out.dim(1), 5u);
 }
@@ -131,9 +132,32 @@ TEST(Network, ForwardThroughStack)
     tn::Network net = makeToyNet(rng);
     EXPECT_EQ(net.depth(), 4u);
     Tensor in({5, 1, 4, 4});
-    Tensor logits = net.forward(in, false);
+    Tensor logits = net.infer(in);
     EXPECT_EQ(logits.dim(0), 5u);
     EXPECT_EQ(logits.dim(1), 2u);
+}
+
+TEST(Network, TrainingForwardMatchesInference)
+{
+    // infer() is the serving path and forward() the training one;
+    // apart from caching for backward() they compute the same bits.
+    tc::Pcg32 rng(3);
+    tn::Network net("both");
+    net.add(std::make_unique<tn::Conv2d>(1, 3, ConvGeometry{3, 1, 1},
+                                         rng))
+        .add(std::make_unique<tn::Relu>())
+        .add(std::make_unique<tn::MaxPool2d>(2, 2))
+        .add(std::make_unique<tn::GlobalAvgPool>());
+    Tensor in({2, 1, 6, 6});
+    in.randomNormal(rng, 1.0f);
+    std::uint64_t macs = 0;
+    Tensor inferred = net.infer(in, &macs);
+    Tensor trained = net.forward(in);
+    ASSERT_EQ(inferred.shape(), trained.shape());
+    EXPECT_EQ(std::memcmp(inferred.data(), trained.data(),
+                          inferred.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(macs, 2ull * 3 * 6 * 6 * 9);
 }
 
 TEST(Network, ParameterCount)
@@ -156,7 +180,7 @@ TEST(Network, ZeroGradClears)
     tc::Pcg32 rng(2);
     tn::Network net = makeToyNet(rng);
     Tensor in({2, 1, 4, 4});
-    Tensor logits = net.forward(in, true);
+    Tensor logits = net.forward(in);
     Tensor d(logits.shape());
     d.fill(1.0f);
     net.backward(d);
@@ -193,7 +217,7 @@ TEST(Network, EmptyNetworkPanics)
 {
     tn::Network net("empty");
     Tensor in({1, 4});
-    EXPECT_DEATH(net.forward(in, false), "empty network");
+    EXPECT_DEATH(net.infer(in), "empty network");
 }
 
 // -------------------------------------------------------------------- sgd
@@ -295,13 +319,13 @@ TEST(Sgd, NumericalGradientThroughConvNetwork)
     std::vector<std::size_t> labels = {0, 2};
 
     auto loss_of = [&]() {
-        Tensor logits = net.forward(batch, true);
+        Tensor logits = net.forward(batch);
         return toltiers::tensor::crossEntropy(
             toltiers::tensor::softmaxRows(logits), labels);
     };
 
     net.zeroGrad();
-    Tensor logits = net.forward(batch, true);
+    Tensor logits = net.forward(batch);
     Tensor probs = toltiers::tensor::softmaxRows(logits);
     net.backward(
         toltiers::tensor::softmaxXentBackward(probs, labels));
