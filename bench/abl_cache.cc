@@ -1,14 +1,13 @@
 /**
  * @file
- * ABL-5: result cache + adaptive batching on the serving path.
+ * ABL-5: result cache on the serving path.
  *
  * The paper's motivation (§1, Fig. 4) is that the large majority of
  * requests — ~74% for ASR, ~65% for IC — are unchanged across
  * service versions: a serving layer that recomputes the tier chain
  * for every repeated input wastes exactly the latency and money
  * tiering saves. This ablation quantifies what the sharded result
- * cache (serving/cache.hh) and the AIMD micro-batcher
- * (serving/batcher.hh) recover:
+ * cache (serving/cache.hh) recovers:
  *
  *  1. A repeat-rate sweep over a real-CPU spin workload, cache off
  *     vs. on, measuring steady-state mean response time on the
@@ -17,14 +16,14 @@
  *     answer is only served to tolerances at least as loose as the
  *     bound it was produced under).
  *  2. The same stream pushed through the concurrent TierFrontDoor,
- *     per-request submits vs. the adaptive batcher, reporting
- *     throughput with the cache attached.
+ *     one submit per request, reporting throughput with the cache
+ *     attached.
  *
  * Everything is measured steady-state only: thread pools, warmup
- * batches, and cache construction run before the stopwatch starts.
+ * requests, and cache construction run before the stopwatch starts.
  * Results land in BENCH_cache.json (--cache-json=... to override);
- * --cache-requests scales the run, --cache-mb/--cache-ttl size the
- * cache, and --batch-max/--batch-delay-us shape the batcher.
+ * --cache-requests scales the run and --cache-mb/--cache-ttl size
+ * the cache.
  */
 
 #include <cstdio>
@@ -43,7 +42,6 @@
 #include "core/tier_service.hh"
 #include "exec/exec.hh"
 #include "harness.hh"
-#include "serving/batcher.hh"
 #include "serving/cache.hh"
 
 using namespace toltiers;
@@ -60,7 +58,6 @@ struct CachePoint
     double hitRate = 0.0;        //!< Cache hits / lookups.
     std::uint64_t violations = 0; //!< Must stay 0.
     double submitThroughput = 0.0; //!< Front door, per-request.
-    double batchThroughput = 0.0;  //!< Front door, batched.
 };
 
 /** Bench knobs, all CLI-overridable. */
@@ -69,8 +66,6 @@ struct CacheBenchConfig
     std::size_t requests = 2000;
     std::size_t cacheMb = 64;
     double cacheTtlSeconds = 0.0;
-    std::size_t batchMax = 16;
-    double batchDelayUs = 200.0;
     std::string jsonPath = "BENCH_cache.json";
 };
 
@@ -129,15 +124,12 @@ synchronousMeanUs(const core::TierService &svc,
 }
 
 /**
- * Push the stream through a warmed-up TierFrontDoor and report
- * steady-state throughput (req/s). With `batch` true submissions go
- * through the adaptive micro-batcher; otherwise one submit per
- * request.
+ * Push the stream through a warmed-up TierFrontDoor, one submit
+ * per request, and report steady-state throughput (req/s).
  */
 double
 frontDoorThroughput(const core::TierService &svc,
-                    const std::vector<std::size_t> &stream,
-                    const CacheBenchConfig &cfg, bool batch)
+                    const std::vector<std::size_t> &stream)
 {
     std::size_t threads =
         std::min<std::size_t>(4, exec::configuredThreadCount());
@@ -157,30 +149,12 @@ frontDoorThroughput(const core::TierService &svc,
 
     core::TierFrontDoor door(svc, door_cfg);
     common::Stopwatch watch;
-    if (batch) {
-        serving::BatcherConfig bc;
-        bc.maxBatch = cfg.batchMax;
-        bc.maxDelaySeconds = cfg.batchDelayUs * 1e-6;
-        serving::AdaptiveBatcher batcher(
-            [&door](std::vector<serving::ServiceRequest> b,
-                    serving::BatchDone done) {
-                (void)door.submitBatch(std::move(b),
-                                       std::move(done));
-            },
-            bc);
-        for (std::size_t i = 0; i < stream.size(); ++i)
-            batcher.submit(streamRequest(i, stream[i]));
-        batcher.flush();
-        door.drain();
-    } else {
-        std::vector<core::TierFrontDoor::Ticket> tickets;
-        tickets.reserve(stream.size());
-        for (std::size_t i = 0; i < stream.size(); ++i)
-            tickets.push_back(
-                door.submit(streamRequest(i, stream[i])));
-        for (auto t : tickets)
-            (void)door.wait(t);
-    }
+    std::vector<core::TierFrontDoor::Ticket> tickets;
+    tickets.reserve(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        tickets.push_back(door.submit(streamRequest(i, stream[i])));
+    for (auto t : tickets)
+        (void)door.wait(t);
     double seconds = watch.seconds();
     return seconds > 0.0
                ? static_cast<double>(stream.size()) / seconds
@@ -212,7 +186,7 @@ cacheSweep(const CacheBenchConfig &cfg)
         cfg.requests, cfg.cacheMb));
     table.setHeader({"repeat", "uncached mean", "cached mean",
                      "reduction", "hit rate", "violations",
-                     "door req/s", "batched req/s"});
+                     "door req/s"});
 
     std::vector<CachePoint> points;
     for (double rate : repeat_rates) {
@@ -246,14 +220,9 @@ cacheSweep(const CacheBenchConfig &cfg)
                                      pt.meanUncachedUs)
                 : 0.0;
 
-        // Concurrent path, cache still attached (fresh cache so
-        // both modes start cold-ish is NOT what we want here: the
-        // door numbers show the serving path at steady state, hits
-        // included).
-        pt.submitThroughput =
-            frontDoorThroughput(svc, stream, cfg, false);
-        pt.batchThroughput =
-            frontDoorThroughput(svc, stream, cfg, true);
+        // Concurrent path, cache still attached: the door number
+        // shows the serving path at steady state, hits included.
+        pt.submitThroughput = frontDoorThroughput(svc, stream);
         svc.setCache(nullptr);
 
         table.addRow(
@@ -263,8 +232,7 @@ cacheSweep(const CacheBenchConfig &cfg)
              common::formatFixed(pt.reductionPct, 1) + "%",
              common::formatPercent(pt.hitRate, 1),
              std::to_string(pt.violations),
-             common::formatFixed(pt.submitThroughput, 0),
-             common::formatFixed(pt.batchThroughput, 0)});
+             common::formatFixed(pt.submitThroughput, 0)});
         points.push_back(pt);
     }
     table.print(std::cout);
@@ -275,8 +243,6 @@ cacheSweep(const CacheBenchConfig &cfg)
     json.member("bench", "result_cache");
     json.member("requests", static_cast<double>(cfg.requests));
     json.member("cacheMb", static_cast<double>(cfg.cacheMb));
-    json.member("batchMax", static_cast<double>(cfg.batchMax));
-    json.member("batchDelayUs", cfg.batchDelayUs);
     json.beginArray("points");
     for (const auto &pt : points) {
         json.beginObject();
@@ -288,7 +254,6 @@ cacheSweep(const CacheBenchConfig &cfg)
         json.member("violations",
                     static_cast<double>(pt.violations));
         json.member("submitThroughput", pt.submitThroughput);
-        json.member("batchThroughput", pt.batchThroughput);
         json.endObject();
     }
     json.endArray();
@@ -314,9 +279,8 @@ main(int argc, char **argv)
 {
     bench::ObsSession obs_session(
         argc, argv,
-        {"cache-json", "cache-requests", "cache-mb", "cache-ttl",
-         "batch-max", "batch-delay-us"});
-    bench::banner("ABL-5: result cache + adaptive batching",
+        {"cache-json", "cache-requests", "cache-mb", "cache-ttl"});
+    bench::banner("ABL-5: result cache",
                   "paper §1 Fig. 4: most requests repeat across "
                   "versions; Clipper-style serving layer");
 
@@ -327,10 +291,6 @@ main(int argc, char **argv)
         obs_session.args().getInt("cache-mb", 64));
     cfg.cacheTtlSeconds =
         obs_session.args().getDouble("cache-ttl", 0.0);
-    cfg.batchMax = static_cast<std::size_t>(
-        obs_session.args().getInt("batch-max", 16));
-    cfg.batchDelayUs =
-        obs_session.args().getDouble("batch-delay-us", 200.0);
     cfg.jsonPath = obs_session.args().getString("cache-json",
                                                 "BENCH_cache.json");
     cacheSweep(cfg);

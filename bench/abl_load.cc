@@ -20,14 +20,12 @@
  * documents the (absent) speedup honestly rather than skipping.
  *
  * Throughput is steady-state only: pool construction and a warmup
- * batch run before the timed region starts, so thread start-up and
+ * run before the timed region starts, so thread start-up and
  * first-touch allocation costs never land in the reported numbers.
- * The serving-path extras are optional here: --cache-mb/--cache-ttl
- * front the service with a result cache and --batch-max/
- * --batch-delay-us route submissions through the adaptive
- * micro-batcher (both off by default, keeping BENCH_parallel.json
- * comparable across runs; bench/abl_cache.cc is the dedicated
- * cache/batching ablation).
+ * The result cache is optional here: --cache-mb/--cache-ttl front
+ * the service with one (off by default, keeping
+ * BENCH_parallel.json comparable across runs; bench/abl_cache.cc
+ * is the dedicated cache ablation).
  */
 
 #include <algorithm>
@@ -50,7 +48,6 @@
 #include "exec/exec.hh"
 #include "harness.hh"
 #include "obs/metrics.hh"
-#include "serving/batcher.hh"
 #include "serving/cache.hh"
 #include "serving/cluster.hh"
 #include "serving/deployment.hh"
@@ -149,8 +146,6 @@ struct ServeOptions
 {
     std::size_t cacheMb = 0;    //!< 0 disables the result cache.
     double cacheTtlSeconds = 0.0;
-    std::size_t batchMax = 0;   //!< 0 submits per request.
-    double batchDelayUs = 200.0;
 };
 
 struct ParallelPoint
@@ -179,9 +174,9 @@ spinRequest(std::size_t i)
  * side runs on the calling thread; capacity is sized so admission
  * never sheds (this measures the serving path, not the shedder).
  *
- * Steady state only: the pool, the front door, and (when enabled)
- * the batcher are constructed — and a warmup batch is served and
- * drained — before the stopwatch starts, so the timed region holds
+ * Steady state only: the pool and the front door are constructed
+ * — and a warmup run is served and drained — before the stopwatch
+ * starts, so the timed region holds
  * nothing but request execution. A separate warmup door keeps the
  * measured door's accounting clean.
  */
@@ -218,29 +213,12 @@ frontDoorRun(core::TierService &svc, std::size_t threads,
     core::TierFrontDoor door(svc, cfg);
 
     common::Stopwatch watch;
-    if (opts.batchMax > 0) {
-        serving::BatcherConfig bc;
-        bc.maxBatch = opts.batchMax;
-        bc.maxDelaySeconds = opts.batchDelayUs * 1e-6;
-        serving::AdaptiveBatcher batcher(
-            [&door](std::vector<serving::ServiceRequest> batch,
-                    serving::BatchDone done) {
-                (void)door.submitBatch(std::move(batch),
-                                       std::move(done));
-            },
-            bc);
-        for (std::size_t i = 0; i < requests; ++i)
-            batcher.submit(spinRequest(i));
-        batcher.flush();
-        door.drain();
-    } else {
-        std::vector<core::TierFrontDoor::Ticket> tickets;
-        tickets.reserve(requests);
-        for (std::size_t i = 0; i < requests; ++i)
-            tickets.push_back(door.submit(spinRequest(i)));
-        for (auto t : tickets)
-            door.wait(t);
-    }
+    std::vector<core::TierFrontDoor::Ticket> tickets;
+    tickets.reserve(requests);
+    for (std::size_t i = 0; i < requests; ++i)
+        tickets.push_back(door.submit(spinRequest(i)));
+    for (auto t : tickets)
+        door.wait(t);
     double seconds = watch.seconds();
     svc.setCache(nullptr);
 
@@ -335,7 +313,7 @@ main(int argc, char **argv)
     bench::ObsSession obs_session(
         argc, argv,
         {"parallel-json", "parallel-requests", "cache-mb",
-         "cache-ttl", "batch-max", "batch-delay-us"});
+         "cache-ttl"});
     bench::banner("ABL-4: tiering under queueing load",
                   "discrete-event node-pool simulation; load relative "
                   "to OSFA saturation");
@@ -345,10 +323,6 @@ main(int argc, char **argv)
         obs_session.args().getInt("cache-mb", 0));
     opts.cacheTtlSeconds =
         obs_session.args().getDouble("cache-ttl", 0.0);
-    opts.batchMax = static_cast<std::size_t>(
-        obs_session.args().getInt("batch-max", 0));
-    opts.batchDelayUs =
-        obs_session.args().getDouble("batch-delay-us", 200.0);
 
     parallelSweep(
         static_cast<std::size_t>(obs_session.args().getInt(

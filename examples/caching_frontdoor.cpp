@@ -1,26 +1,21 @@
 /**
  * @file
- * The cached, batched serving path in miniature.
+ * The cached serving path in miniature.
  *
  * Builds a two-version ladder, fronts the tier service with the
  * sharded result cache, and drives a repeated request stream
- * through the concurrent front door via the adaptive micro-batcher
- * — the full production serving path: annotated request -> batcher
- * -> front door -> cache -> tier chain. Prints what each layer
- * contributed: batch sizes the AIMD controller settled on, the
- * cache's hit/miss ledger, and the tolerance-safety demonstration
- * (a tightened request never accepts a loosely-produced cached
- * answer).
+ * through the concurrent front door: annotated request -> front
+ * door -> cache -> tier chain. Prints what each layer contributed:
+ * the door's ledger, the cache's hit/miss ledger, and the
+ * tolerance-safety demonstration (a tightened request never
+ * accepts a loosely-produced cached answer).
  *
- * Flags: --cache-mb=<MiB> --cache-ttl=<seconds> --batch-max=<n>
- * --batch-delay-us=<µs>, plus the standard telemetry flags
- * (--log-level, --metrics-out, --trace-out).
+ * Flags: --cache-mb=<MiB> --cache-ttl=<seconds>, plus the standard
+ * telemetry flags (--log-level, --metrics-out, --trace-out).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hh"
@@ -31,7 +26,6 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
-#include "serving/batcher.hh"
 #include "serving/cache.hh"
 
 using namespace toltiers;
@@ -91,11 +85,10 @@ main(int argc, char **argv)
 {
     common::CliArgs args(
         argc, argv,
-        common::telemetryFlags({"cache-mb", "cache-ttl",
-                                "batch-max", "batch-delay-us"}));
+        common::telemetryFlags({"cache-mb", "cache-ttl"}));
     common::applyLogLevel(args);
 
-    std::printf("== cached + batched tier serving ==\n\n");
+    std::printf("== cached tier serving ==\n\n");
 
     DemoVersion fast("fast-v1", 0.010, 1.0);
     DemoVersion accurate("accurate-v3", 0.050, 5.0);
@@ -128,65 +121,34 @@ main(int argc, char **argv)
     door_cfg.metrics = &obs::Registry::global();
     core::TierFrontDoor door(svc, door_cfg);
 
-    // The adaptive batcher feeding the door: same-tier requests
-    // coalesce into one pool task each.
-    serving::BatcherConfig batch_cfg;
-    batch_cfg.maxBatch = static_cast<std::size_t>(
-        args.getInt("batch-max", 8));
-    batch_cfg.maxDelaySeconds =
-        args.getDouble("batch-delay-us", 200.0) * 1e-6;
-    batch_cfg.metrics = &obs::Registry::global();
-
-    // Requests arrive in paced waves (as live traffic does), so
-    // the AIMD feedback from earlier batches has landed before the
-    // next wave: the adaptive limit climbs and later waves coalesce
-    // into real batches instead of dispatching one by one.
-    constexpr std::size_t kWaves = 24;
-    constexpr std::size_t kPerWave = 8;
-    constexpr std::size_t kRequests = kWaves * kPerWave;
-    {
-        serving::AdaptiveBatcher batcher(
-            [&door](std::vector<serving::ServiceRequest> batch,
-                    serving::BatchDone done) {
-                (void)door.submitBatch(std::move(batch),
-                                       std::move(done));
-            },
-            batch_cfg);
-        for (std::size_t wave = 0; wave < kWaves; ++wave) {
-            for (std::size_t j = 0; j < kPerWave; ++j) {
-                std::size_t i = wave * kPerWave + j;
-                serving::ServiceRequest req;
-                req.id = i;
-                req.payload = i % 12; // Heavy repetition.
-                req.tier.tolerance = 0.05;
-                batcher.submit(req);
-            }
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(300));
+    // Requests arrive in waves over the same 12 payloads. Each is
+    // looked up on the submitting thread: the first wave misses and
+    // is served on the pool, which fills the cache; every later
+    // request is answered at admission from it.
+    constexpr std::size_t kWaves = 16;
+    constexpr std::size_t kPayloads = 12;
+    constexpr std::size_t kRequests = kWaves * kPayloads;
+    for (std::size_t wave = 0; wave < kWaves; ++wave) {
+        std::vector<core::TierFrontDoor::Ticket> tickets;
+        for (std::size_t j = 0; j < kPayloads; ++j) {
+            serving::ServiceRequest req;
+            req.id = wave * kPayloads + j;
+            req.payload = j;
+            req.tier.tolerance = 0.05;
+            tickets.push_back(door.submit(req));
         }
-        batcher.flush();
-        door.drain();
-
-        auto bs = batcher.stats();
-        std::printf("batcher: %llu requests in %llu batches "
-                    "(adaptive limit settled at %zu, "
-                    "+%llu/-%llu AIMD steps)\n",
-                    static_cast<unsigned long long>(
-                        bs.batchedRequests),
-                    static_cast<unsigned long long>(bs.batches),
-                    bs.currentLimit,
-                    static_cast<unsigned long long>(
-                        bs.limitIncreases),
-                    static_cast<unsigned long long>(
-                        bs.limitDecreases));
+        for (auto ticket : tickets) {
+            if (ticket != core::TierFrontDoor::kRejected)
+                (void)door.wait(ticket);
+        }
     }
 
     auto ds = door.stats();
-    std::printf("front door: %llu submitted, %llu completed in "
-                "%llu batch tasks, %llu violations\n",
+    std::printf("front door: %llu submitted, %llu completed, "
+                "%llu rejected, %llu violations\n",
                 static_cast<unsigned long long>(ds.submitted),
                 static_cast<unsigned long long>(ds.completed),
-                static_cast<unsigned long long>(ds.batches),
+                static_cast<unsigned long long>(ds.rejected),
                 static_cast<unsigned long long>(ds.violations));
 
     auto cs = cache.stats();

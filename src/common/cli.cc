@@ -91,7 +91,6 @@ telemetryFlags(std::vector<std::string> extra)
 {
     extra.push_back("log-level");
     extra.push_back("metrics-out");
-    extra.push_back("metrics-legacy-aliases");
     extra.push_back("trace-out");
     return extra;
 }

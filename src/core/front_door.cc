@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -25,10 +24,9 @@ TierFrontDoor::TierFrontDoor(const TierService &service,
     if (cfg.tenantPolicy != nullptr) {
         governor_ = std::make_unique<serving::TenantGovernor>(
             *cfg.tenantPolicy, metrics_);
-        window_ = cfg.dispatchWindow != 0
-                      ? cfg.dispatchWindow
-                      : std::max<std::size_t>(
-                            2 * pool_.threadCount(), 2);
+        // A small window keeps dequeue order — and therefore
+        // weighted fairness — tight under overload.
+        window_ = std::max<std::size_t>(2 * pool_.threadCount(), 2);
     }
     if (metrics_ != nullptr) {
         // Pre-register the series so an idle door exports zeros.
@@ -48,25 +46,14 @@ TierFrontDoor::TierFrontDoor(const TierService &service,
             "tt_frontdoor_violations_total", {},
             "Completed responses that reported a guarantee "
             "violation");
-        batches_.exported =
-            &metrics_->counter("tt_frontdoor_batches_total", {},
-                               "Batch tasks run via submitBatch()");
     }
 }
 
 TierFrontDoor::~TierFrontDoor()
 {
+    // finishOne() is every path's last touch of the door, so once
+    // drain() returns no pool task still uses it.
     drain();
-    // drain() returns when every request has COMPLETED, but a
-    // pump-dispatched pool task still runs `dispatched_--; pump()`
-    // after its request's finishOne() — code that reads this
-    // object (and the governor it owns). Destroying the door while
-    // such a task is in flight is a use-after-free that parks the
-    // worker on a dead mutex, so wait for the last one to let go.
-    while (pumpBusy_.load(std::memory_order_acquire) != 0) {
-        if (!pool_.runOneTask())
-            std::this_thread::yield();
-    }
 }
 
 bool
@@ -101,22 +88,54 @@ TierFrontDoor::claimCapacity(const serving::ServiceRequest &request)
     return true;
 }
 
-void
-TierFrontDoor::dispatchOrQueue(const std::string &tenant,
-                               std::size_t cost,
-                               std::function<void()> work,
-                               bool inline_when_workerless)
+template <typename Deliver>
+bool
+TierFrontDoor::admitAndServe(serving::ServiceRequest request,
+                             Deliver deliver,
+                             bool inline_when_workerless)
 {
+    if (!claimCapacity(request))
+        return false;
+
+    TierResponse hit;
+    Pending pending;
+    if (lookupAtAdmission(request, hit, pending)) {
+        account(hit, request.tenant);
+        deliver(std::move(hit));
+        finishOne();
+        return true;
+    }
+    // The pool task must stay copyable (exec::Task is a
+    // std::function), hence the shared_ptr trace carrier inside
+    // Pending. It serves, accounts and delivers; whoever runs it
+    // calls finishOne() once it is done with the door.
+    std::string tenant = request.tenant;
+    pending.request = std::move(request);
+    auto serve = [this, pending = std::move(pending),
+                  deliver = std::move(deliver)]() mutable {
+        TierResponse response = executePending(pending);
+        account(response, pending.request.tenant);
+        deliver(std::move(response));
+    };
     if (governor_ != nullptr) {
-        governor_->enqueue(tenant, cost, std::move(work));
+        governor_->enqueue(tenant, std::move(serve));
         pump();
-        return;
+    } else if (inline_when_workerless && pool_.threadCount() == 0) {
+        // A worker-less pool (exec::ThreadPool(0/1)) only runs
+        // tasks when someone waits on them — and the push-style
+        // caller never waits, so its requests would park forever.
+        // Serve inline on the submitter's thread instead (pump()
+        // does the same for fair-queued work): that is exactly the
+        // pool's serial semantics, just without requiring a helper.
+        serve();
+        finishOne();
+    } else {
+        pool_.submit([this, serve = std::move(serve)]() mutable {
+            serve();
+            finishOne();
+        });
     }
-    if (inline_when_workerless && pool_.threadCount() == 0) {
-        work();
-        return;
-    }
-    pool_.submit(std::move(work));
+    return true;
 }
 
 void
@@ -146,62 +165,46 @@ TierFrontDoor::pump()
         }
         if (pool_.threadCount() == 0) {
             // Worker-less pool: run inline (the push-style serving
-            // semantics; see submitAsync) and keep draining.
+            // semantics; see submitAsync) and keep draining. This
+            // loop runs inside the submitter's own call, so it may
+            // go on after the item's finishOne().
             work();
             dispatched_.fetch_sub(1, std::memory_order_acq_rel);
+            finishOne();
             continue;
         }
-        pumpBusy_.fetch_add(1, std::memory_order_acq_rel);
         pool_.submit([this, work = std::move(work)] {
             work();
             dispatched_.fetch_sub(1, std::memory_order_acq_rel);
             pump();
-            // Last touch of `this`: after this decrement the
-            // destructor is free to proceed (see ~TierFrontDoor).
-            pumpBusy_.fetch_sub(1, std::memory_order_acq_rel);
+            // Last touch of the door: after this, drain() — and so
+            // the destructor — may return.
+            finishOne();
         });
     }
 }
 
 TierFrontDoor::Ticket
-TierFrontDoor::admit(const serving::ServiceRequest &request,
-                     std::shared_ptr<Slot> &slot_out)
-{
-    if (!claimCapacity(request))
-        return kRejected;
-
-    slot_out = std::make_shared<Slot>();
-    std::lock_guard<std::mutex> lock(mapMu_);
-    Ticket ticket = nextTicket_++;
-    slots_.emplace(ticket, slot_out);
-    return ticket;
-}
-
-TierFrontDoor::Ticket
 TierFrontDoor::submit(serving::ServiceRequest request)
 {
-    std::shared_ptr<Slot> slot;
-    Ticket ticket = admit(request, slot);
-    if (ticket == kRejected)
+    auto slot = std::make_shared<Slot>();
+    auto fill = [slot](TierResponse &&response) {
+        {
+            std::lock_guard<std::mutex> lock(slot->mu);
+            slot->response = std::move(response);
+            slot->ready = true;
+        }
+        slot->cv.notify_all();
+    };
+    if (!admitAndServe(std::move(request), std::move(fill),
+                       /*inline_when_workerless=*/false))
         return kRejected;
-
-    TierResponse hit;
-    Pending pending;
-    if (lookupAtAdmission(request, hit, pending)) {
-        complete(slot, std::move(hit), request.tenant);
-        return ticket;
-    }
-    // The pool lambda must stay copyable, hence the shared_ptr
-    // trace carrier inside Pending.
-    pending.request = std::move(request);
-    std::string tenant = pending.request.tenant;
-    dispatchOrQueue(
-        tenant, 1,
-        [this, slot, pending = std::move(pending)]() mutable {
-            complete(slot, executePending(pending),
-                     pending.request.tenant);
-        },
-        /*inline_when_workerless=*/false);
+    // The slot may already hold the response (a cache hit, or a
+    // pool task that beat us here); the ticket collects it either
+    // way.
+    std::lock_guard<std::mutex> lock(mapMu_);
+    Ticket ticket = nextTicket_++;
+    slots_.emplace(ticket, std::move(slot));
     return ticket;
 }
 
@@ -211,31 +214,16 @@ TierFrontDoor::submitAsync(serving::ServiceRequest request,
 {
     TT_ASSERT(done != nullptr,
               "submitAsync needs a completion hook");
-    if (!claimCapacity(request))
-        return false;
-
-    TierResponse hit;
-    Pending pending;
-    if (lookupAtAdmission(request, hit, pending)) {
-        deliver(hit, request.tenant, done);
-        return true;
-    }
-    pending.request = std::move(request);
-    std::string tenant = pending.request.tenant;
-    auto serve = [this, pending = std::move(pending),
-                  done = std::move(done)]() mutable {
-        deliver(executePending(pending), pending.request.tenant,
-                done);
-    };
-    // A worker-less pool (exec::ThreadPool(0/1)) only runs tasks
-    // when someone waits on them — and the push-style caller never
-    // waits, so its requests would park forever. Serve inline on
-    // the submitter's thread instead (dispatchOrQueue does the
-    // same for fair-queued work): that is exactly the pool's
-    // serial semantics, just without requiring a helper.
-    dispatchOrQueue(tenant, 1, std::move(serve),
-                    /*inline_when_workerless=*/true);
-    return true;
+    // The hook is this request's collector: it receives the
+    // produced-and-accounted response exactly once, before the
+    // capacity slot frees (so drain() still covers delivery).
+    return admitAndServe(
+        std::move(request),
+        [this, done = std::move(done)](TierResponse &&response) {
+            done(response);
+            collected_.inc();
+        },
+        /*inline_when_workerless=*/true);
 }
 
 bool
@@ -255,17 +243,16 @@ TierFrontDoor::lookupAtAdmission(const serving::ServiceRequest &request,
     // A hit's service spans follow the door's (added below, once
     // the lookup has hit); a miss records no span here.
     if (span_ctx.active() && tracer_ != nullptr)
-        span_ctx.offset = pending.waited + request.batchWaitSeconds;
+        span_ctx.offset = pending.waited;
     if (!service_.lookup(request, span_ctx, hit, pending.looked)) {
         pending.queued = common::Stopwatch();
         return false;
     }
-    recordWait(request, pending.waited);
+    recordWait(pending.waited);
     if (pending.trace) {
-        if (tracer_ != nullptr) {
-            (void)addDoorSpans(*pending.trace, pending.root, request,
-                               pending.waited);
-        }
+        if (tracer_ != nullptr)
+            addAdmissionSpan(*pending.trace, pending.root,
+                             pending.waited);
         tracer->finish(std::move(*pending.trace));
     }
     return true;
@@ -275,15 +262,16 @@ TierResponse
 TierFrontDoor::executePending(Pending &pending) const
 {
     double wait = pending.waited + pending.queued.seconds();
-    recordWait(pending.request, wait);
+    recordWait(wait);
     if (!pending.trace) {
         return service_.execute(pending.request, pending.looked,
                                 obs::TraceContext{});
     }
-    double offset = tracer_ != nullptr
-                        ? addDoorSpans(*pending.trace, pending.root,
-                                       pending.request, wait)
-                        : 0.0;
+    double offset = 0.0;
+    if (tracer_ != nullptr) {
+        addAdmissionSpan(*pending.trace, pending.root, wait);
+        offset = wait;
+    }
     TierResponse resp = service_.execute(
         pending.request, pending.looked,
         {pending.trace.get(), pending.root, offset});
@@ -291,103 +279,8 @@ TierFrontDoor::executePending(Pending &pending) const
     return resp;
 }
 
-std::vector<TierFrontDoor::Ticket>
-TierFrontDoor::submitBatch(std::vector<serving::ServiceRequest> batch,
-                           BatchDone done)
-{
-    std::vector<Ticket> tickets(batch.size(), kRejected);
-
-    // One admitted (request, slot) unit of the batch task. Each
-    // unit carries its own trace and admission stopwatch: requests
-    // in one batch task still get individual span trees and
-    // queue-wait attribution.
-    struct Unit
-    {
-        serving::ServiceRequest request;
-        std::shared_ptr<Slot> slot;
-        std::shared_ptr<obs::Trace> trace;
-        common::Stopwatch queued;
-    };
-    auto units = std::make_shared<std::vector<Unit>>();
-    units->reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        std::shared_ptr<Slot> slot;
-        Ticket t = admit(batch[i], slot);
-        tickets[i] = t;
-        if (t == kRejected)
-            continue;
-        std::shared_ptr<obs::Trace> trace;
-        if (tracer_ != nullptr && tracer_->shouldSample()) {
-            trace = std::make_shared<obs::Trace>(
-                tracer_->startTrace());
-        }
-        units->push_back({std::move(batch[i]), std::move(slot),
-                          std::move(trace), common::Stopwatch()});
-    }
-
-    if (units->empty()) {
-        // Fully shed: the feedback hook still fires (a batcher's
-        // AIMD loop must never starve), but nothing runs.
-        if (done)
-            done(0, 0.0);
-        return tickets;
-    }
-
-    batches_.inc();
-    // The batch runs as one fair-queue item costed at its size,
-    // charged to the first admitted unit's tenant. The adaptive
-    // batcher groups by tenant (serving/batcher.hh), so a batch is
-    // single-tenant by construction; hand-built mixed batches are
-    // charged to their first request.
-    std::string tenant = units->front().request.tenant;
-    dispatchOrQueue(
-        tenant, units->size(),
-        [this, units, done = std::move(done)] {
-            common::Stopwatch watch;
-            for (Unit &u : *units) {
-                complete(u.slot,
-                         serveAdmitted(u.request, u.trace,
-                                       u.queued.seconds()),
-                         u.request.tenant);
-            }
-            if (done)
-                done(units->size(), watch.seconds());
-        },
-        /*inline_when_workerless=*/false);
-    return tickets;
-}
-
-TierResponse
-TierFrontDoor::serveAdmitted(const serving::ServiceRequest &request,
-                             const std::shared_ptr<obs::Trace> &trace,
-                             double queue_wait) const
-{
-    recordWait(request, queue_wait);
-    if (!trace) {
-        // With a tracer attached, the door already consumed this
-        // request's (negative) sampling decision; pass an inactive
-        // context so the service does not re-sample and originate
-        // a second, disconnected trace. Without one, delegate so a
-        // service-attached tracer can still originate.
-        if (tracer_ != nullptr)
-            return service_.handle(request, obs::TraceContext{});
-        return service_.handle(request);
-    }
-
-    // Originate the span tree: root `request` span (duration
-    // patched by the tier service) and the door's wall-clock spans.
-    // Everything downstream nests under the propagated context.
-    std::uint64_t root = trace->addSpan("request", 0.0, 0.0);
-    double offset = addDoorSpans(*trace, root, request, queue_wait);
-    obs::TraceContext span_ctx{trace.get(), root, offset};
-    TierResponse resp = service_.handle(request, span_ctx);
-    tracer_->finish(std::move(*trace));
-    return resp;
-}
-
 void
-TierFrontDoor::recordWait(const serving::ServiceRequest &request,
-                          double queue_wait) const
+TierFrontDoor::recordWait(double queue_wait) const
 {
     if (metrics_ == nullptr || !obs::metricsEnabled())
         return;
@@ -398,32 +291,15 @@ TierFrontDoor::recordWait(const serving::ServiceRequest &request,
                                        obs::stage::kAdmission);
         })
         .observe(queue_wait);
-    if (request.batchWaitSeconds > 0.0) {
-        stageBatchWait_
-            .get([&]() -> obs::Histogram & {
-                return obs::stageHistogram(*metrics_,
-                                           obs::stage::kBatchWait);
-            })
-            .observe(request.batchWaitSeconds);
-    }
 }
 
-double
-TierFrontDoor::addDoorSpans(obs::Trace &trace, std::uint64_t root,
-                            const serving::ServiceRequest &request,
-                            double queue_wait)
+void
+TierFrontDoor::addAdmissionSpan(obs::Trace &trace, std::uint64_t root,
+                                double queue_wait)
 {
     std::uint64_t adm =
         trace.addSpan("admission", 0.0, queue_wait, root);
     trace.annotate(adm, "clock", "wall");
-    double offset = queue_wait;
-    if (request.batchWaitSeconds > 0.0) {
-        std::uint64_t bw = trace.addSpan(
-            "batch_wait", offset, request.batchWaitSeconds, root);
-        trace.annotate(bw, "clock", "wall");
-        offset += request.batchWaitSeconds;
-    }
-    return offset;
 }
 
 void
@@ -458,37 +334,6 @@ TierFrontDoor::finishOne()
     std::lock_guard<std::mutex> lock(drainMu_);
     inFlight_.fetch_sub(1, std::memory_order_acq_rel);
     drainCv_.notify_all();
-}
-
-void
-TierFrontDoor::complete(const std::shared_ptr<Slot> &slot,
-                        TierResponse response,
-                        const std::string &tenant)
-{
-    account(response, tenant);
-
-    {
-        std::lock_guard<std::mutex> lock(slot->mu);
-        slot->response = std::move(response);
-        slot->ready = true;
-    }
-    slot->cv.notify_all();
-
-    finishOne();
-}
-
-void
-TierFrontDoor::deliver(const TierResponse &response,
-                       const std::string &tenant,
-                       const Completion &done)
-{
-    account(response, tenant);
-    // The hook is this request's collector: it receives the
-    // produced-and-accounted response exactly once, before the
-    // capacity slot frees (so drain() still covers delivery).
-    done(response);
-    collected_.inc();
-    finishOne();
 }
 
 std::shared_ptr<TierFrontDoor::Slot>
@@ -602,7 +447,6 @@ TierFrontDoor::stats() const
     s.fellBack = count(fellBack_);
     s.violations = count(violations_);
     s.collected = count(collected_);
-    s.batches = count(batches_);
     return s;
 }
 

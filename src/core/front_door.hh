@@ -4,29 +4,25 @@
  *
  * TierService::handle() serves one request synchronously on the
  * calling thread. The front door turns that into a concurrent
- * serving surface: submit() admits a request into a bounded queue
- * and dispatches it onto the shared work-stealing pool, poll() or
- * wait() retrieves the finished TierResponse by ticket. Admission
- * is load-shedding, not blocking — when `queueCapacity` requests
- * are already in flight, submit() rejects immediately (a serving
- * system sheds at the door; it does not build an unbounded queue).
- * submitBatch() admits a whole batch and executes it as one pool
- * task — the dispatch surface the adaptive micro-batcher
- * (serving/batcher.hh) feeds, reporting per-batch wall latency
- * back through its completion hook for AIMD batch sizing.
+ * serving surface with one per-request path: admit, look up,
+ * dispatch. submit() and submitAsync() both take it and differ only
+ * in where the response lands — a ticket that poll() or wait()
+ * collects, or a completion hook. Admission is load-shedding, not
+ * blocking — when `queueCapacity` requests are already in flight,
+ * a submit rejects immediately (a serving system sheds at the door;
+ * it does not build an unbounded queue).
  *
- * Cache hits never reach the pool. Once submit() or submitAsync()
- * has claimed quota and capacity, it runs the tier service's
- * lookup half (TierService::lookup) on the submitting thread, the
- * way Clipper checks its prediction cache before a request joins a
- * queue. A hit is accounted and completed right there: its ticket
- * is ready, or its completion has run, before the call returns.
- * Only a miss is dispatched, carrying its Lookup, and the pool
- * runs the execute half without looking it up again. A hit counts
- * exactly as a pool-served response does (submitted, completed,
- * collected, the tenant's quota and series) and records its
- * measured, near-zero admission wait; it never enters the fair
- * queue. submitBatch() keeps its whole-batch pool task.
+ * Cache hits never reach the pool. Once a request has claimed quota
+ * and capacity, the door runs the tier service's lookup half
+ * (TierService::lookup) on the submitting thread, the way Clipper
+ * checks its prediction cache before a request joins a queue. A hit
+ * is accounted and answered right there: its ticket is ready, or
+ * its completion has run, before the call returns. Only a miss is
+ * dispatched, carrying its Lookup, and the pool runs the execute
+ * half without looking it up again. A hit counts exactly as a
+ * pool-served response does (submitted, completed, collected, the
+ * tenant's quota and series) and records its measured, near-zero
+ * admission wait; it never enters the fair queue.
  *
  * Accounting is conservation-checked: every submitted request is
  * exactly one of rejected / completed, completed responses split
@@ -34,8 +30,8 @@
  * never silently dropped — it is counted the moment the response
  * is produced (not when the caller collects it), mirrored into the
  * registry's tt_frontdoor_* counters when metrics are attached,
- * and still delivered to the caller through poll()/wait(). The hot
- * tallies are obs::Counter instances, which are striped across
+ * and still delivered to the caller. The hot tallies are
+ * obs::Counter instances, which are striped across
  * cache-line-padded atomics, so eight clients hammering the door
  * do not serialize on one counter line.
  *
@@ -44,12 +40,19 @@
  * charged against its tenant's token bucket (over-quota requests
  * are rejected before the shared gate), then claims a capacity
  * slot, then queues in the governor's deficit-round-robin queue —
- * a bounded dispatch window drains that queue onto the pool in
- * weight proportion, so a flooding tenant only ever waits behind
- * itself. Per-tenant accounting stays exact alongside the global
- * identity: submitted = rejected + shed + completed per tenant,
- * mirrored as tt_tenant_* labelled series. Without a policy the
- * door behaves exactly as before.
+ * a dispatch window of max(2 x pool threads, 2) drains that queue
+ * onto the pool in weight proportion, so a flooding tenant only
+ * ever waits behind itself. Per-tenant accounting stays exact
+ * alongside the global identity: submitted = rejected + shed +
+ * completed per tenant, mirrored as tt_tenant_* labelled series.
+ * Without a policy a miss goes straight to the pool.
+ *
+ * Teardown: releasing a request's capacity slot (finishOne) is the
+ * last thing every path does to the door. A pool task serves,
+ * accounts and delivers, then — when it came through the fair
+ * queue — frees its window slot and pumps the queue, and only then
+ * finishes. So once drain() returns no pool task still uses the
+ * door, and the destructor is a drain().
  *
  * The door is also the trace originator: with a Tracer attached,
  * each sampled request gets one trace whose root `request` span is
@@ -57,9 +60,8 @@
  * the request waited between admission and its tier-chain work —
  * the pool pickup for a miss, the cache lookup for a hit (also
  * recorded into tt_frontdoor_queue_wait_seconds and the admission
- * stage histogram) — a `batch_wait` span when the request crossed
- * the adaptive batcher, and a TraceContext handed to the tier
- * service so the tier chain's spans nest under the same root — one
+ * stage histogram) — and a TraceContext handed to the tier service
+ * so the tier chain's spans nest under the same root — one
  * connected span tree per request, front door to resilience leg.
  * A miss's wait excludes its own lookup, whose `rule_match` and
  * `cache_lookup` spans follow `admission` in the tree as before.
@@ -112,11 +114,6 @@ struct FrontDoorConfig
      * The policy is copied; nullptr keeps the single-tenant path
      * byte-identical to previous behavior. */
     const serving::TenantPolicy *tenantPolicy = nullptr;
-    /** Max fair-queue items dispatched onto the pool at once when a
-     * tenant policy is active (the DRR dispatch window); 0 picks
-     * max(2 x pool threads, 2). A small window keeps dequeue order
-     * — and therefore weighted fairness — tight under overload. */
-    std::size_t dispatchWindow = 0;
 };
 
 /** Point-in-time front-door accounting (sums are exact once the
@@ -130,7 +127,6 @@ struct FrontDoorStats
     std::uint64_t fellBack = 0;  //!< Served by a safe fallback.
     std::uint64_t violations = 0; //!< Explicit guarantee violations.
     std::uint64_t collected = 0; //!< Responses handed to callers.
-    std::uint64_t batches = 0;   //!< submitBatch() pool tasks run.
 };
 
 /** Concurrent submit()/poll() surface over one TierService. */
@@ -153,7 +149,9 @@ class TierFrontDoor
 
     /**
      * Admit one request. Returns its ticket, or kRejected when the
-     * bounded queue is full (the request was not enqueued).
+     * bounded queue is full (the request was not enqueued). On a
+     * worker-less pool (exec::ThreadPool(0/1)) without a tenant
+     * policy, a miss runs when a caller waits or drains.
      */
     [[nodiscard]] Ticket submit(serving::ServiceRequest request);
 
@@ -184,30 +182,6 @@ class TierFrontDoor
     [[nodiscard]] bool submitAsync(serving::ServiceRequest request,
                                    Completion done);
 
-    /**
-     * Completion hook for one batch: invoked exactly once with the
-     * number of requests executed and the batch's wall-clock
-     * seconds (the AIMD feedback the adaptive batcher consumes).
-     */
-    using BatchDone =
-        std::function<void(std::size_t executed,
-                           double wall_seconds)>;
-
-    /**
-     * Admit a batch of requests and execute all admitted ones as
-     * ONE pool task, in order — amortizing per-task dispatch
-     * overhead the way Clipper's batching layer does. Admission is
-     * still per request: each either gets a ticket or kRejected
-     * when the bounded queue is full, so a batch can be partially
-     * shed. The returned tickets line up with the batch by index
-     * and behave exactly like submit() tickets (poll/wait/drain).
-     * `done`, if given, fires after the last admitted request
-     * completes — inline when the whole batch was shed.
-     */
-    [[nodiscard]] std::vector<Ticket>
-    submitBatch(std::vector<serving::ServiceRequest> batch,
-                BatchDone done = nullptr);
-
     /** True once the ticket's response is ready to collect. */
     bool ready(Ticket ticket) const;
 
@@ -221,7 +195,8 @@ class TierFrontDoor
     /** Block until the ticket's response is ready and collect it. */
     TierResponse wait(Ticket ticket);
 
-    /** Block until every admitted request has completed. */
+    /** Block until every admitted request has completed. Once it
+     * returns, no pool task still uses the door. */
     void drain();
 
     /** In-flight requests (admitted, not yet completed). */
@@ -268,18 +243,16 @@ class TierFrontDoor
      * request was rejected or shed (and counted so, globally and
      * per tenant). */
     bool claimCapacity(const serving::ServiceRequest &request);
-    /** Count + admit one request: claims a capacity slot and
-     * registers a ticket, or returns kRejected (shed). */
-    Ticket admit(const serving::ServiceRequest &request,
-                 std::shared_ptr<Slot> &slot_out);
-    /** Hand one serve task to the pool — directly, or through the
-     * tenant governor's fair queue when a policy is active. With a
-     * worker-less pool, `inline_when_workerless` runs the task on
-     * the calling thread (submitAsync semantics); fair-queued work
-     * always runs inline on a worker-less pool. */
-    void dispatchOrQueue(const std::string &tenant, std::size_t cost,
-                         std::function<void()> work,
-                         bool inline_when_workerless);
+    /** The one per-request path: admit the request, look it up,
+     * and answer a hit inline or dispatch a miss. `deliver` takes
+     * the accounted response (TierResponse &&) — into a ticket slot
+     * or a completion. With a worker-less pool and no tenant
+     * policy, `inline_when_workerless` serves a miss on the calling
+     * thread (submitAsync semantics); fair-queued work always runs
+     * inline on a worker-less pool. False means rejected or shed. */
+    template <typename Deliver>
+    bool admitAndServe(serving::ServiceRequest request,
+                       Deliver deliver, bool inline_when_workerless);
     /** Drain the fair queue onto the pool up to the dispatch
      * window; each dispatched item re-pumps on completion. */
     void pump();
@@ -301,38 +274,22 @@ class TierFrontDoor
     /** Serve a pending miss on a pool thread: record its admission
      * wait, run the execute half, and finish its trace. */
     TierResponse executePending(Pending &pending) const;
-    /** Serve one batched request on a pool thread: record the
-     * measured queue wait (admission stage), then run the whole
-     * tier chain — under `trace`'s root span when the request was
-     * sampled (the trace is finished here). */
-    TierResponse
-    serveAdmitted(const serving::ServiceRequest &request,
-                  const std::shared_ptr<obs::Trace> &trace,
-                  double queue_wait) const;
-    /** The admission-wait histograms (queue wait, the admission and
-     * batch-wait stages); one sample per request. */
-    void recordWait(const serving::ServiceRequest &request,
-                    double queue_wait) const;
-    /** Add the door's wall-clock spans under `root` — `admission`
-     * over the wait, then `batch_wait` — and return the offset at
-     * which the tier service's spans begin. */
-    static double addDoorSpans(obs::Trace &trace, std::uint64_t root,
-                               const serving::ServiceRequest &request,
-                               double queue_wait);
+    /** The admission-wait histograms (queue wait and the admission
+     * stage); one sample per request. */
+    void recordWait(double queue_wait) const;
+    /** Add the door's wall-clock `admission` span under `root`;
+     * the tier service's spans begin where it ends. */
+    static void addAdmissionSpan(obs::Trace &trace, std::uint64_t root,
+                                 double queue_wait);
     std::shared_ptr<Slot> findSlot(Ticket ticket) const;
     std::shared_ptr<Slot> takeSlot(Ticket ticket);
     /** Outcome accounting at production time (see file comment);
      * `tenant` attributes the completion when a policy is active. */
     void account(const TierResponse &response,
                  const std::string &tenant);
-    /** Release the request's capacity slot and wake drain(). */
+    /** Release the request's capacity slot and wake drain(): the
+     * last touch of the door on every path (see file comment). */
     void finishOne();
-    void complete(const std::shared_ptr<Slot> &slot,
-                  TierResponse response, const std::string &tenant);
-    /** complete() for a submitAsync request: account, hand the
-     * response to `done`, count it collected, release the slot. */
-    void deliver(const TierResponse &response,
-                 const std::string &tenant, const Completion &done);
 
     const TierService &service_;
     exec::ThreadPool &pool_;
@@ -342,13 +299,6 @@ class TierFrontDoor
     std::unique_ptr<serving::TenantGovernor> governor_;
     std::size_t window_ = 2; //!< DRR dispatch window.
     std::atomic<std::size_t> dispatched_{0}; //!< Window occupancy.
-    /** Pump-dispatched pool tasks still holding `this`. A task's
-     * request finishes (finishOne) before its trailing
-     * `dispatched_--; pump()` runs, so drain() returning does NOT
-     * mean pump code stopped touching the door — the destructor
-     * must also wait for this to hit zero before the governor (and
-     * the rest of the door) can be torn down. */
-    std::atomic<std::size_t> pumpBusy_{0};
     common::Stopwatch clock_; //!< Token-bucket refill clock.
 
     mutable std::mutex mapMu_;
@@ -369,17 +319,15 @@ class TierFrontDoor
     obs::Counter fellBack_;
     obs::MirroredCounter violations_;
     obs::Counter collected_;
-    obs::MirroredCounter batches_;
 
     obs::Registry *metrics_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
 
     // Registry handles: the queue-wait histogram is resolved at
-    // construction (null without metrics), the stage histograms on
-    // their first sample.
+    // construction (null without metrics), the admission stage
+    // histogram on its first sample.
     obs::Histogram *mQueueWait_ = nullptr;
     obs::LazyHandle<obs::Histogram> stageAdmission_;
-    obs::LazyHandle<obs::Histogram> stageBatchWait_;
 };
 
 } // namespace toltiers::core

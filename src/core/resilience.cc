@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 
 #include "common/logging.hh"
@@ -68,21 +67,18 @@ executeStage(const serving::ServiceVersion &version,
         double prim_lat = prim.result.latencySeconds;
 
         // Hedge a straggler: once the attempt (would have) run past
-        // hedgeDelay, a duplicate launches on its own thread. The
-        // duplicate draws its own fault decision, so it rescues
-        // slowdowns and timeouts alike.
+        // hedgeDelay, a duplicate launches. The duplicate draws its
+        // own fault decision, so it rescues slowdowns and timeouts
+        // alike. It runs here, on the calling thread: the primary
+        // has already returned, and the merge below uses modeled
+        // time, so another thread would add no concurrency.
         bool have_hedge = false;
         serving::AttemptResult hedge;
         double hedge_completion = kInf;
         if (policy.hedgeDelaySeconds > 0.0 &&
             prim_lat > policy.hedgeDelaySeconds &&
             policy.hedgeDelaySeconds < cap) {
-            auto fut = std::async(
-                std::launch::async, [&version, payload, attempt_id] {
-                    return version.processAttempt(payload,
-                                                  attempt_id + 1);
-                });
-            hedge = fut.get();
+            hedge = version.processAttempt(payload, attempt_id + 1);
             have_hedge = true;
             hedge_completion =
                 policy.hedgeDelaySeconds +

@@ -11,12 +11,13 @@
  * exponential backoff with deterministic jitter, up to maxRetries
  * extra attempts, never exceeding the budget. A straggling attempt
  * can be hedged: once the (modeled) latency passes hedgeDelay, a
- * duplicate attempt is dispatched on a second thread and the
- * earlier successful completion wins, the loser billed for the
- * time it ran (the paper's early-termination billing, applied to
- * tail-latency insurance). All decisions are keyed on
- * (payload, attempt) through seeded stateless hashes, so a chaos
- * run is reproducible bit-for-bit regardless of thread scheduling.
+ * duplicate attempt runs (on the calling thread, after the primary)
+ * and the earlier successful completion on the modeled clock wins,
+ * the loser billed for the time it ran (the paper's
+ * early-termination billing, applied to tail-latency insurance).
+ * All decisions are keyed on (payload, attempt) through seeded
+ * stateless hashes, so a chaos run is reproducible bit-for-bit
+ * regardless of thread scheduling.
  *
  * Ordering of the defenses, per attempt round: deadline bounds the
  * wait, hedging bounds the tail within the wait, retry + backoff

@@ -411,29 +411,22 @@ TierService::runFallbackChain(
 TierResponse
 TierService::handle(const serving::ServiceRequest &request) const
 {
-    // Originator form: no caller-provided trace context, so start
-    // (and finish) a trace here when the tracer samples this
-    // request. The root span's duration is patched by recordTrace.
-    if (ctx_.tracer != nullptr && ctx_.tracer->shouldSample()) {
-        obs::Trace trace = ctx_.tracer->startTrace();
-        std::uint64_t root = trace.addSpan("request", 0.0, 0.0);
-        obs::TraceContext span_ctx{&trace, root, 0.0};
-        TierResponse resp = handle(request, span_ctx);
-        ctx_.tracer->finish(std::move(trace));
-        return resp;
-    }
-    return handle(request, obs::TraceContext{});
-}
-
-TierResponse
-TierService::handle(const serving::ServiceRequest &request,
-                    const obs::TraceContext &span_ctx) const
-{
-    TierResponse resp;
-    Lookup looked;
-    if (lookup(request, span_ctx, resp, looked))
-        return resp;
-    return execute(request, looked, span_ctx);
+    auto serve = [&](const obs::TraceContext &span_ctx) {
+        TierResponse resp;
+        Lookup looked;
+        if (lookup(request, span_ctx, resp, looked))
+            return resp;
+        return execute(request, looked, span_ctx);
+    };
+    if (ctx_.tracer == nullptr || !ctx_.tracer->shouldSample())
+        return serve(obs::TraceContext{});
+    // Sampled: start (and finish) the request's trace here. The
+    // root span's duration is patched by recordTrace.
+    obs::Trace trace = ctx_.tracer->startTrace();
+    std::uint64_t root = trace.addSpan("request", 0.0, 0.0);
+    TierResponse resp = serve({&trace, root, 0.0});
+    ctx_.tracer->finish(std::move(trace));
+    return resp;
 }
 
 bool

@@ -36,16 +36,15 @@
  * so a served request only updates cached handles; the attached
  * registry must outlive the service.
  *
- * Tracing is causal: handle(request, TraceContext) records its
- * spans *into the caller's trace* under the caller's root span —
- * the front door propagates one context from admission through
- * batching into the tier chain, so a request yields one connected
- * span tree (rule_match and cache_lookup wall-clock spans, then an
- * `execute` span owning one `stage:<version>` span per ensemble or
- * fallback stage, each owning one `attempt`/`hedge` leaf per
- * resilience leg with its win/lose outcome). handle(request) with
- * no context is the originator form: it starts a trace itself
- * (subject to the tracer's sampling) and finishes it.
+ * Tracing is causal: lookup() and execute() record their spans
+ * *into the caller's trace* under the caller's root span — the
+ * front door propagates one context from admission into the tier
+ * chain, so a request yields one connected span tree (rule_match
+ * and cache_lookup wall-clock spans, then an `execute` span owning
+ * one `stage:<version>` span per ensemble or fallback stage, each
+ * owning one `attempt`/`hedge` leaf per resilience leg with its
+ * win/lose outcome). handle() is the originator form: it starts a
+ * trace itself (subject to the tracer's sampling) and finishes it.
  *
  * The serving path can be fronted by a result cache (setCache):
  * handle() looks the request's fingerprint up before executing the
@@ -230,17 +229,6 @@ class TierService
      */
     TierResponse handle(const serving::ServiceRequest &request) const;
 
-    /**
-     * Serve one request, recording spans into the caller's trace
-     * under `span_ctx.parent` starting at `span_ctx.offset` (the
-     * propagated-context form the front door uses; see
-     * obs::TraceContext). An inactive context serves without
-     * tracing. The caller owns and finishes the trace; this method
-     * sets the parent span's duration to cover the work it added.
-     */
-    TierResponse handle(const serving::ServiceRequest &request,
-                        const obs::TraceContext &span_ctx) const;
-
     /** What lookup() found for a request that missed; execute()
      * serves the request from it. Opaque outside the service. */
     class Lookup;
@@ -263,8 +251,8 @@ class TierService
      * The execute half of handle(), for a request whose lookup()
      * missed: run the tier chain, insert an Ok answer into the
      * cache, and record the request's telemetry and spans (under
-     * `span_ctx`, as handle() does). The cache is not consulted
-     * again.
+     * `span_ctx`, whose trace the caller owns and finishes). The
+     * cache is not consulted again.
      */
     TierResponse execute(const serving::ServiceRequest &request,
                          const Lookup &looked,

@@ -136,9 +136,8 @@ struct NetResponse
 };
 
 /**
- * Append one request frame for `req` to `out`. The request's
- * batchWaitSeconds is serving-side state and never crosses the
- * wire. Oversized (out untouched) when the tenant/header strings
+ * Append one request frame for `req` to `out`. Oversized (out
+ * untouched) when the tenant/header strings
  * would blow kMaxFrameBytes or a u16 string-length field; BadValue
  * when the tolerance is outside [0, 1] or not finite.
  */

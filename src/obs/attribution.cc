@@ -112,8 +112,6 @@ attributeTrace(const TraceRecord &record)
     for (const SpanRecord *child : it->second) {
         if (child->name == "admission") {
             bd.admission += child->duration;
-        } else if (child->name == "batch_wait") {
-            bd.batchWait += child->duration;
         } else if (child->name == "rule_match") {
             bd.route += child->duration;
         } else if (child->name == "cache_lookup") {

@@ -5,16 +5,16 @@
  * A tier promise is only as strong as the measured distribution
  * behind it, and "where did this request's p99 go?" needs the wall
  * time decomposed into named stages. This module defines the
- * canonical stage vocabulary (admission, batch-wait, cache, route,
- * execute, retry-backoff, hedge-overlap), the interval arithmetic
+ * canonical stage vocabulary (admission, cache, route, execute,
+ * retry-backoff, hedge-overlap), the interval arithmetic
  * that derives busy/gap/overlap time from a set of attempt
  * intervals, the walker that decomposes one span tree into a
  * StageBreakdown, and the critical-path walker that returns the
  * longest causal chain through the tree.
  *
  * The additive identity the decomposition guarantees: admission +
- * batch-wait + route + cache + execute + retry-backoff equals the
- * root span's duration exactly (hedge-overlap is time covered by
+ * route + cache + execute + retry-backoff equals the root span's
+ * duration exactly (hedge-overlap is time covered by
  * two or more concurrent legs — a subset of execute, reported
  * separately, never double-counted into the sum). The live serving
  * path records the same quantities into the per-stage
@@ -37,7 +37,6 @@ namespace toltiers::obs {
 /** Canonical stage label values for tt_stage_seconds{stage=...}. */
 namespace stage {
 inline constexpr const char *kAdmission = "admission";
-inline constexpr const char *kBatchWait = "batch-wait";
 inline constexpr const char *kCache = "cache";
 inline constexpr const char *kRoute = "route";
 inline constexpr const char *kExecute = "execute";
@@ -70,7 +69,6 @@ IntervalStats intervalStats(std::vector<Interval> intervals);
 struct StageBreakdown
 {
     double admission = 0.0;    //!< Front-door queue wait.
-    double batchWait = 0.0;    //!< Adaptive-batcher queue wait.
     double route = 0.0;        //!< Routing-rule match.
     double cache = 0.0;        //!< Result-cache lookup.
     double execute = 0.0;      //!< Union of attempt busy time.
@@ -82,14 +80,13 @@ struct StageBreakdown
     /** Sum of the additive stages (everything but hedgeOverlap). */
     double total() const
     {
-        return admission + batchWait + route + cache + execute +
-               retryBackoff;
+        return admission + route + cache + execute + retryBackoff;
     }
 };
 
 /**
  * Decompose one finished trace into its stage breakdown. Stages the
- * request never crossed (no batcher, no cache, cache hit) read 0.
+ * request never crossed (no cache, cache hit) read 0.
  * The root is the span with parent 0; a record without one (or
  * with no spans) yields all zeros.
  */

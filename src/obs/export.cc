@@ -62,17 +62,6 @@ formatBound(double v)
     return common::strprintf("%g", v);
 }
 
-/** The deprecated toltiers_* name for a family, or "" if none. */
-std::string
-legacyNameOf(const std::string &name)
-{
-    for (const auto &[current, legacy] : legacyMetricAliases()) {
-        if (current == name)
-            return legacy;
-    }
-    return "";
-}
-
 } // namespace
 
 std::string
@@ -98,98 +87,11 @@ escapePrometheusLabelValue(const std::string &value)
     return out;
 }
 
-const std::vector<std::pair<std::string, std::string>> &
-legacyMetricAliases()
-{
-    static const std::vector<std::pair<std::string, std::string>>
-        aliases = {
-            {"tt_tier_requests_total", "toltiers_tier_requests_total"},
-            {"tt_tier_escalations_total",
-             "toltiers_tier_escalations_total"},
-            {"tt_tier_latency_seconds",
-             "toltiers_tier_latency_seconds"},
-            {"tt_tier_cost_dollars", "toltiers_tier_cost_dollars"},
-            {"tt_tier_rule_tolerance",
-             "toltiers_tier_rule_tolerance"},
-            {"tt_guarantee_degradation",
-             "toltiers_guarantee_degradation"},
-            {"tt_guarantee_tolerance",
-             "toltiers_guarantee_tolerance"},
-            {"tt_guarantee_violation",
-             "toltiers_guarantee_violation"},
-            {"tt_guarantee_served_violations",
-             "toltiers_guarantee_served_violations"},
-            {"tt_sim_queue_wait_seconds",
-             "toltiers_sim_queue_wait_seconds"},
-            {"tt_sim_busy_seconds_total",
-             "toltiers_sim_busy_seconds_total"},
-            {"tt_sim_cancelled_busy_seconds_total",
-             "toltiers_sim_cancelled_busy_seconds_total"},
-            {"tt_sim_completed_stages_total",
-             "toltiers_sim_completed_stages_total"},
-            {"tt_sim_cancelled_stages_total",
-             "toltiers_sim_cancelled_stages_total"},
-            {"tt_sim_faulted_stages_total",
-             "toltiers_sim_faulted_stages_total"},
-            {"tt_sim_retries_total", "toltiers_sim_retries_total"},
-            {"tt_sim_pool_utilization",
-             "toltiers_sim_pool_utilization"},
-            {"tt_rulegen_trials_per_config",
-             "toltiers_rulegen_trials_per_config"},
-            {"tt_rulegen_trials_total",
-             "toltiers_rulegen_trials_total"},
-            {"tt_rulegen_configs_total",
-             "toltiers_rulegen_configs_total"},
-            {"tt_rulegen_bootstrap_seconds_total",
-             "toltiers_rulegen_bootstrap_seconds_total"},
-            {"tt_rulegen_configs_pruned_total",
-             "toltiers_rulegen_configs_pruned_total"},
-            {"tt_rulegen_generate_seconds",
-             "toltiers_rulegen_generate_seconds"},
-            {"tt_inference_wall_seconds",
-             "toltiers_inference_wall_seconds"},
-            {"tt_faults_injected_total",
-             "toltiers_faults_injected_total"},
-        };
-    return aliases;
-}
-
 void
-exportPrometheus(const Registry &registry, std::ostream &os,
-                 bool legacy_aliases)
+exportPrometheus(const Registry &registry, std::ostream &os)
 {
-    std::vector<SeriesSnapshot> series = registry.snapshot();
-    if (legacy_aliases) {
-        // Emit each renamed family a second time under its old
-        // name, re-sorted so families stay contiguous.
-        std::vector<SeriesSnapshot> aliased;
-        for (const SeriesSnapshot &s : series) {
-            std::string legacy = legacyNameOf(s.name);
-            if (legacy.empty())
-                continue;
-            SeriesSnapshot copy = s;
-            copy.name = std::move(legacy);
-            copy.help = s.help.empty()
-                            ? ""
-                            : s.help + " (deprecated alias of " +
-                                  s.name + ")";
-            aliased.push_back(std::move(copy));
-        }
-        series.insert(series.end(),
-                      std::make_move_iterator(aliased.begin()),
-                      std::make_move_iterator(aliased.end()));
-        std::sort(series.begin(), series.end(),
-                  [](const SeriesSnapshot &a,
-                     const SeriesSnapshot &b) {
-                      if (a.name != b.name)
-                          return a.name < b.name;
-                      return labelsKey(a.labels) <
-                             labelsKey(b.labels);
-                  });
-    }
-
     std::string last_name;
-    for (const SeriesSnapshot &s : series) {
+    for (const SeriesSnapshot &s : registry.snapshot()) {
         if (s.name != last_name) {
             if (!s.help.empty())
                 os << "# HELP " << s.name << " " << s.help << "\n";
@@ -294,8 +196,7 @@ exportCsv(const Registry &registry, std::ostream &os)
 }
 
 void
-writeSnapshot(const Registry &registry, const std::string &path,
-              bool legacy_aliases)
+writeSnapshot(const Registry &registry, const std::string &path)
 {
     std::ofstream out(path);
     if (!out)
@@ -305,7 +206,7 @@ writeSnapshot(const Registry &registry, const std::string &path,
     else if (common::endsWith(path, ".csv"))
         exportCsv(registry, out);
     else
-        exportPrometheus(registry, out, legacy_aliases);
+        exportPrometheus(registry, out);
 }
 
 bool
@@ -314,8 +215,7 @@ exportForCli(const common::CliArgs &args, const Registry &registry)
     std::string path = args.getString("metrics-out", "");
     if (path.empty())
         return false;
-    writeSnapshot(registry, path,
-                  args.getBool("metrics-legacy-aliases", false));
+    writeSnapshot(registry, path);
     inform("metrics snapshot (", registry.seriesCount(),
            " series) -> ", path);
     return true;

@@ -11,12 +11,7 @@
  * p50/p95/p99 for histograms, for humans and spreadsheets.
  *
  * Metric naming: every series the project records uses the `tt_`
- * prefix. Earlier releases mixed in `toltiers_*` names; those are
- * kept for one release as export-time aliases — pass
- * `legacy_aliases = true` to exportPrometheus to emit each renamed
- * family a second time under its old name (see
- * legacyMetricAliases() for the table, and docs/OPERATIONS.md for
- * the deprecation schedule).
+ * prefix.
  */
 
 #ifndef TOLTIERS_OBS_EXPORT_HH
@@ -24,8 +19,6 @@
 
 #include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.hh"
 
@@ -35,20 +28,12 @@ class CliArgs;
 
 namespace toltiers::obs {
 
-/** Prometheus text exposition of the registry's current state.
- * With `legacy_aliases`, every family in legacyMetricAliases() is
- * additionally emitted under its deprecated `toltiers_*` name. */
-void exportPrometheus(const Registry &registry, std::ostream &os,
-                      bool legacy_aliases = false);
+/** Prometheus text exposition of the registry's current state. */
+void exportPrometheus(const Registry &registry, std::ostream &os);
 
 /** Escape one label value for the Prometheus text exposition
  * format: backslash, double quote, and newline. */
 std::string escapePrometheusLabelValue(const std::string &value);
-
-/** The rename table, (current tt_* name, deprecated toltiers_*
- * name) pairs — kept as export-time aliases for one release. */
-const std::vector<std::pair<std::string, std::string>> &
-legacyMetricAliases();
 
 /** JSON object with one entry per series. */
 void exportJson(const Registry &registry, std::ostream &os);
@@ -59,18 +44,15 @@ void exportCsv(const Registry &registry, std::ostream &os);
 /**
  * Write a snapshot to `path`, picking the format from the
  * extension: .json -> JSON, .csv -> CSV, anything else (.prom,
- * .txt, ...) -> Prometheus text. `legacy_aliases` applies to the
- * Prometheus format only. fatal() if the file cannot be opened.
+ * .txt, ...) -> Prometheus text. fatal() if the file cannot be
+ * opened.
  */
-void writeSnapshot(const Registry &registry, const std::string &path,
-                   bool legacy_aliases = false);
+void writeSnapshot(const Registry &registry, const std::string &path);
 
 /**
  * Standard CLI wiring: if the parsed args carry --metrics-out=PATH,
- * write a snapshot there (see writeSnapshot) and inform() about it;
- * --metrics-legacy-aliases additionally emits the deprecated
- * toltiers_* names in Prometheus output. Returns true if a
- * snapshot was written.
+ * write a snapshot there (see writeSnapshot) and inform() about it.
+ * Returns true if a snapshot was written.
  */
 bool exportForCli(const common::CliArgs &args,
                   const Registry &registry = Registry::global());

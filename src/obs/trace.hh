@@ -27,8 +27,8 @@
  * everything downstream receives a TraceContext naming the trace,
  * the span to parent under, and the timeline offset at which the
  * callee's work begins. One request therefore yields ONE connected
- * span tree no matter how many layers (admission, batching, cache,
- * tier chain, retry/hedge legs) it crosses. The ttlint rule
+ * span tree no matter how many layers (admission, cache, tier
+ * chain, retry/hedge legs) it crosses. The ttlint rule
  * `span-context-discipline` enforces that request-path functions
  * which accept a TraceContext never open orphan root spans.
  */

@@ -23,8 +23,8 @@
  *              scored as fully wrong, but the attempt does not
  *              report failure (undetectable without ground truth).
  *
- * Decisions are stateless and thread-safe, so hedged duplicate
- * attempts can draw their faults concurrently.
+ * Decisions are stateless and thread-safe, so concurrent requests
+ * and raced legs can draw their faults at once.
  */
 
 #ifndef TOLTIERS_SERVING_FAULT_HH

@@ -49,12 +49,6 @@ struct ServiceRequest
      * weighted-fair dequeue, and the per-tenant tt_* label series
      * off it. */
     std::string tenant;
-    /** Wall seconds the request queued in the adaptive batcher
-     * before dispatch (0 when it never crossed a batcher). Set by
-     * AdaptiveBatcher; consumed by the front door's stage
-     * attribution (`tt_stage_seconds{stage="batch-wait"}` and the
-     * trace's batch_wait span). */
-    double batchWaitSeconds = 0.0;
 };
 
 } // namespace toltiers::serving

@@ -65,8 +65,9 @@ class ServiceVersion
      * Process one numbered attempt at payload `index`. Reliable
      * versions ignore the attempt number and never fail; the fault
      * injector overrides this to key deterministic fault decisions
-     * on (payload, attempt). Must be thread-safe for distinct
-     * attempt numbers (retry/hedge paths call it concurrently).
+     * on (payload, attempt). Must be thread-safe: requests on the
+     * serving pool, and the concurrent policies' race legs, call it
+     * from several threads at once.
      */
     virtual AttemptResult
     processAttempt(std::size_t index, std::uint64_t attempt) const

@@ -161,13 +161,12 @@ void TenantGovernor::countCompleted(const std::string &tenant,
     }
 }
 
-void TenantGovernor::enqueue(const std::string &tenant, std::size_t cost,
+void TenantGovernor::enqueue(const std::string &tenant,
                              std::function<void()> work)
 {
     common::MutexLock lock(mu_);
     State &s = state(tenant);
-    s.queue.push_back(Item{std::max<std::size_t>(cost, 1),
-                           std::move(work)});
+    s.queue.push_back(std::move(work));
     ++queued_;
     if (s.mQueued != nullptr)
     {
@@ -196,22 +195,21 @@ std::function<void()> TenantGovernor::dequeue()
             s.deficit = 0.0;
             continue;
         }
-        const double cost = static_cast<double>(s.queue.front().cost);
-        if (s.deficit < cost)
+        if (s.deficit < 1.0)
         {
             // One quantum per visit, then the next backlogged
             // tenant's turn — the rotation is what yields
             // weight-proportional throughput (a tenant that
             // re-credited itself at the head would monopolize the
             // queue). Deficits grow every visit, so the loop
-            // terminates even for large batch costs.
+            // terminates even for the smallest weight.
             s.deficit += kQuantum * std::max(s.quota.weight, kMinWeight);
             activeOrder_.pop_front();
             activeOrder_.push_back(tenant);
             continue;
         }
-        s.deficit -= cost;
-        std::function<void()> work = std::move(s.queue.front().work);
+        s.deficit -= 1.0;
+        std::function<void()> work = std::move(s.queue.front());
         s.queue.pop_front();
         --queued_;
         if (s.mQueued != nullptr)

@@ -143,13 +143,13 @@ struct TenantStats
  * per tenant, exact after a drain). The front door is the intended
  * caller; see core/front_door.hh for the layering.
  *
- * The DRR queue holds opaque work items with an integer cost (a
- * single request costs 1, a batch its size). dequeue() serves the
- * backlogged tenants round robin, each accumulating quantum x
- * weight deficit per visit and paying an item's cost to release it
- * — so over any backlogged interval, tenant throughput converges to
- * the weight ratio and a flooding tenant only ever queues behind
- * itself.
+ * The DRR queue holds opaque work items, one per request.
+ * dequeue() serves the backlogged tenants round robin, each
+ * accumulating quantum x weight deficit per visit and paying one
+ * unit to release an item — so over any backlogged interval,
+ * tenant throughput converges to the weight ratio (weights may be
+ * fractional, hence the deficit) and a flooding tenant only ever
+ * queues behind itself.
  */
 class TenantGovernor
 {
@@ -181,11 +181,11 @@ class TenantGovernor
     void countCompleted(const std::string &tenant, bool violation);
 
     /**
-     * Queue one work item of the given cost (>= 1) for
-     * weighted-fair dispatch. The item runs when a dequeue() caller
-     * releases and invokes it; the governor never runs work itself.
+     * Queue one work item for weighted-fair dispatch. The item runs
+     * when a dequeue() caller releases and invokes it; the governor
+     * never runs work itself.
      */
-    void enqueue(const std::string &tenant, std::size_t cost,
+    void enqueue(const std::string &tenant,
                  std::function<void()> work);
 
     /**
@@ -202,19 +202,12 @@ class TenantGovernor
     std::vector<TenantStats> stats() const;
 
   private:
-    /** One DRR queue entry. */
-    struct Item
-    {
-        std::size_t cost = 1;
-        std::function<void()> work;
-    };
-
     /** Per-tenant bucket, queue, deficit, and tallies. */
     struct State
     {
         TenantQuota quota;
         TokenBucket bucket;
-        std::deque<Item> queue;
+        std::deque<std::function<void()>> queue;
         double deficit = 0.0;
         bool active = false; //!< Present in activeOrder_.
         std::uint64_t submitted = 0;

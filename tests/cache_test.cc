@@ -1,34 +1,28 @@
 /**
  * @file
- * Result-cache + adaptive-batcher suite (ctest label: cache).
+ * Result-cache suite (ctest label: cache).
  *
  * Covers the sharded LRU cache's unit semantics (hit/miss, LRU
  * eviction, TTL expiry, tolerance gating, oversized entries,
  * replacement), an 8-thread stress run with exact hit/miss/eviction
  * conservation, the tolerance-safety property over arbitrary
  * interleavings of cached and uncached requests (per-request RNG
- * streams, PR 2 fault-harness style), result identity with the
- * cache on vs. off, the AIMD batcher's grouping/flush/adaptation
- * behavior, and the front door's batch admission path.
+ * streams, PR 2 fault-harness style), and result identity with the
+ * cache on vs. off.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/front_door.hh"
 #include "core/resilience.hh"
 #include "core/rule_generator.hh"
 #include "core/tier_service.hh"
-#include "exec/pool.hh"
 #include "exec/rng.hh"
 #include "obs/metrics.hh"
-#include "serving/batcher.hh"
 #include "serving/cache.hh"
 #include "serving/fault.hh"
 
@@ -81,41 +75,6 @@ class ErrVersion : public sv::ServiceVersion
     double error_;
 };
 
-/** Version that spins until the shared gate opens (capacity tests). */
-class GateVersion : public sv::ServiceVersion
-{
-  public:
-    explicit GateVersion(const std::atomic<bool> &open)
-        : name_("gate"), instance_("cpu-small"), open_(open)
-    {
-    }
-
-    const std::string &name() const override { return name_; }
-    const std::string &instanceName() const override
-    {
-        return instance_;
-    }
-    std::size_t workloadSize() const override { return kWorkload; }
-
-    sv::VersionResult
-    process(std::size_t index) const override
-    {
-        while (!open_.load(std::memory_order_acquire))
-            std::this_thread::yield();
-        sv::VersionResult r;
-        r.output = "gate-answer-" + std::to_string(index);
-        r.confidence = 0.9;
-        r.latencySeconds = 0.001;
-        r.costDollars = 1.0;
-        return r;
-    }
-
-  private:
-    std::string name_;
-    std::string instance_;
-    const std::atomic<bool> &open_;
-};
-
 co::RoutingRule
 singleRule(double tolerance, std::size_t version)
 {
@@ -158,60 +117,6 @@ counterValue(ob::Registry &reg, const std::string &name)
     }
     return found ? total : -1.0;
 }
-
-/**
- * Dispatch sink for batcher tests: records every dispatched batch
- * and feeds `reportLatency` back through the completion hook.
- */
-struct BatchCollector
-{
-    std::mutex mu;
-    /** Dispatched batches in order. GUARDED_BY(mu) */
-    std::vector<std::vector<sv::ServiceRequest>> batches;
-    /** Wall latency the hook reports. GUARDED_BY(mu) */
-    double reportLatency = 0.0;
-
-    sv::BatchDispatch
-    fn()
-    {
-        return [this](std::vector<sv::ServiceRequest> batch,
-                      sv::BatchDone done) {
-            std::size_t n = batch.size();
-            double latency;
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                batches.push_back(std::move(batch));
-                latency = reportLatency;
-            }
-            if (done)
-                done(n, latency);
-        };
-    }
-
-    std::size_t
-    totalRequests()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        std::size_t total = 0;
-        for (const auto &b : batches)
-            total += b.size();
-        return total;
-    }
-
-    std::size_t
-    batchCount()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return batches.size();
-    }
-
-    void
-    setReportLatency(double seconds)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        reportLatency = seconds;
-    }
-};
 
 } // namespace
 
@@ -551,329 +456,4 @@ TEST(CacheProperty, ResultsIdenticalWithCacheOnAndOff)
     // 16 distinct payloads: everything after the first touch hits.
     EXPECT_EQ(s.misses, 16u);
     EXPECT_EQ(s.hits, 2 * kRequests - 16u);
-}
-
-// ------------------------------------------------- AdaptiveBatcher
-
-TEST(Batcher, FlushDispatchesEverySubmittedRequest)
-{
-    BatchCollector sink;
-    sv::BatcherConfig cfg;
-    cfg.maxBatch = 4;
-    cfg.adaptive = false;
-    cfg.maxDelaySeconds = 10.0; // Only size/flush dispatch here.
-    {
-        sv::AdaptiveBatcher batcher(sink.fn(), cfg);
-        for (std::size_t i = 0; i < 10; ++i) {
-            sv::ServiceRequest req;
-            req.id = i;
-            req.tier.tolerance = 0.05;
-            batcher.submit(req);
-        }
-        batcher.flush();
-        auto s = batcher.stats();
-        EXPECT_EQ(s.submitted, 10u);
-        EXPECT_EQ(s.batchedRequests, 10u);
-        EXPECT_EQ(s.pending, 0u);
-    }
-    EXPECT_EQ(sink.totalRequests(), 10u);
-    {
-        std::lock_guard<std::mutex> lock(sink.mu);
-        for (const auto &b : sink.batches)
-            EXPECT_LE(b.size(), 4u);
-    }
-}
-
-TEST(Batcher, GroupsOnlyCoBatchSameObjectiveAndTolerance)
-{
-    BatchCollector sink;
-    sv::BatcherConfig cfg;
-    cfg.maxBatch = 8;
-    cfg.adaptive = false;
-    cfg.maxDelaySeconds = 10.0;
-    {
-        sv::AdaptiveBatcher batcher(sink.fn(), cfg);
-        for (std::size_t i = 0; i < 12; ++i) {
-            sv::ServiceRequest req;
-            req.id = i;
-            req.tier.tolerance = (i % 2 == 0) ? 0.05 : 0.10;
-            req.tier.objective = (i % 3 == 0)
-                                     ? sv::Objective::Cost
-                                     : sv::Objective::ResponseTime;
-            batcher.submit(req);
-        }
-        batcher.flush();
-    }
-    EXPECT_EQ(sink.totalRequests(), 12u);
-    std::lock_guard<std::mutex> lock(sink.mu);
-    for (const auto &b : sink.batches) {
-        ASSERT_FALSE(b.empty());
-        for (const auto &r : b) {
-            EXPECT_EQ(r.tier.tolerance, b.front().tier.tolerance);
-            EXPECT_EQ(r.tier.objective, b.front().tier.objective);
-        }
-    }
-}
-
-TEST(Batcher, AimdGrowsUnderTargetAndHalvesOnOvershoot)
-{
-    BatchCollector sink;
-    sv::BatcherConfig cfg;
-    cfg.maxBatch = 8;
-    cfg.adaptive = true;
-    cfg.maxDelaySeconds = 10.0;
-    cfg.latencyTargetSeconds = 1e-3;
-    sv::AdaptiveBatcher batcher(sink.fn(), cfg);
-    EXPECT_EQ(batcher.currentBatchLimit(), 1u);
-
-    // Fast batches: the limit creeps up one step per full batch.
-    sink.setReportLatency(0.0);
-    for (std::size_t i = 0; i < 24; ++i) {
-        sv::ServiceRequest req;
-        req.id = i;
-        req.tier.tolerance = 0.05;
-        batcher.submit(req);
-        batcher.flush();
-    }
-    std::size_t grown = batcher.currentBatchLimit();
-    EXPECT_GT(grown, 1u);
-    EXPECT_GT(batcher.stats().limitIncreases, 0u);
-
-    // One overshooting batch halves it.
-    sink.setReportLatency(1.0);
-    {
-        sv::ServiceRequest req;
-        req.id = 99;
-        req.tier.tolerance = 0.05;
-        batcher.submit(req);
-        batcher.flush();
-    }
-    EXPECT_LE(batcher.currentBatchLimit(),
-              std::max<std::size_t>(1, grown / 2) + 1);
-    EXPECT_GT(batcher.stats().limitDecreases, 0u);
-}
-
-TEST(Batcher, DelayFlushFiresWithoutExplicitFlush)
-{
-    BatchCollector sink;
-    sv::BatcherConfig cfg;
-    cfg.maxBatch = 100;
-    cfg.adaptive = false;
-    cfg.maxDelaySeconds = 2e-3;
-    sv::AdaptiveBatcher batcher(sink.fn(), cfg);
-    for (std::size_t i = 0; i < 3; ++i) {
-        sv::ServiceRequest req;
-        req.id = i;
-        req.tier.tolerance = 0.05;
-        batcher.submit(req);
-    }
-    // The flusher thread must dispatch the under-full group on its
-    // own once the max delay elapses.
-    for (int spin = 0; spin < 2000; ++spin) {
-        if (sink.totalRequests() == 3)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(sink.totalRequests(), 3u);
-}
-
-TEST(Batcher, DestructorFlushesPendingRequests)
-{
-    BatchCollector sink;
-    sv::BatcherConfig cfg;
-    cfg.maxBatch = 100;
-    cfg.adaptive = false;
-    cfg.maxDelaySeconds = 10.0;
-    {
-        sv::AdaptiveBatcher batcher(sink.fn(), cfg);
-        for (std::size_t i = 0; i < 5; ++i) {
-            sv::ServiceRequest req;
-            req.id = i;
-            req.tier.tolerance = 0.05;
-            batcher.submit(req);
-        }
-    }
-    EXPECT_EQ(sink.totalRequests(), 5u);
-}
-
-// -------------------------------------------- front-door batching
-
-TEST(FrontDoorBatch, TicketsAlignAndMatchDirectResults)
-{
-    ErrVersion fast("v-fast", 0.010, 1.0, 0.03);
-    ErrVersion accurate("v-acc", 0.050, 5.0, 0.0);
-    co::TierService svc({&fast, &accurate});
-    svc.setRules(sv::Objective::ResponseTime,
-                 {singleRule(0.05, 0)});
-
-    toltiers::exec::ThreadPool pool(2);
-    co::FrontDoorConfig cfg;
-    cfg.pool = &pool;
-    cfg.queueCapacity = 64;
-    co::TierFrontDoor door(svc, cfg);
-
-    std::vector<sv::ServiceRequest> batch;
-    for (std::size_t i = 0; i < 8; ++i) {
-        sv::ServiceRequest req;
-        req.id = i;
-        req.payload = i;
-        req.tier.tolerance = 0.05;
-        batch.push_back(req);
-    }
-    std::atomic<std::size_t> doneCalls{0};
-    std::atomic<std::size_t> doneExecuted{0};
-    auto tickets = door.submitBatch(
-        batch, [&](std::size_t executed, double seconds) {
-            doneCalls.fetch_add(1);
-            doneExecuted.store(executed);
-            EXPECT_GE(seconds, 0.0);
-        });
-    ASSERT_EQ(tickets.size(), 8u);
-    for (std::size_t i = 0; i < 8; ++i) {
-        ASSERT_NE(tickets[i], co::TierFrontDoor::kRejected);
-        auto resp = door.wait(tickets[i]);
-        EXPECT_EQ(resp.output, svc.handle(batch[i]).output);
-    }
-    door.drain();
-    EXPECT_EQ(doneCalls.load(), 1u);
-    EXPECT_EQ(doneExecuted.load(), 8u);
-    auto s = door.stats();
-    EXPECT_EQ(s.batches, 1u);
-    EXPECT_EQ(s.submitted, 8u);
-    EXPECT_EQ(s.completed, 8u);
-}
-
-TEST(FrontDoorBatch, PartialShedRejectsExcessAndStaysConserved)
-{
-    ErrVersion fast("v-fast", 0.010, 1.0, 0.03);
-    ErrVersion accurate("v-acc", 0.050, 5.0, 0.0);
-    co::TierService svc({&fast, &accurate});
-    svc.setRules(sv::Objective::ResponseTime,
-                 {singleRule(0.05, 0)});
-
-    toltiers::exec::ThreadPool pool(2);
-    co::FrontDoorConfig cfg;
-    cfg.pool = &pool;
-    cfg.queueCapacity = 3;
-    co::TierFrontDoor door(svc, cfg);
-
-    std::vector<sv::ServiceRequest> batch(8);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch[i].id = i;
-        batch[i].payload = i;
-        batch[i].tier.tolerance = 0.05;
-    }
-    std::atomic<std::size_t> executed{0};
-    auto tickets = door.submitBatch(
-        batch, [&](std::size_t n, double) { executed.store(n); });
-    ASSERT_EQ(tickets.size(), 8u);
-    // Admission is sequential: exactly the first 3 fit.
-    std::size_t admitted = 0;
-    for (auto t : tickets)
-        if (t != co::TierFrontDoor::kRejected)
-            ++admitted;
-    EXPECT_EQ(admitted, 3u);
-    door.drain();
-    EXPECT_EQ(executed.load(), 3u);
-    auto s = door.stats();
-    EXPECT_EQ(s.submitted, 8u);
-    EXPECT_EQ(s.rejected, 5u);
-    EXPECT_EQ(s.completed, 3u);
-}
-
-TEST(FrontDoorBatch, FullShedFiresDoneInline)
-{
-    std::atomic<bool> open{false};
-    GateVersion gate(open);
-    co::TierService svc({&gate});
-    svc.setRules(sv::Objective::ResponseTime,
-                 {singleRule(0.10, 0)});
-
-    toltiers::exec::ThreadPool pool(1);
-    co::FrontDoorConfig cfg;
-    cfg.pool = &pool;
-    cfg.queueCapacity = 1;
-    co::TierFrontDoor door(svc, cfg);
-
-    sv::ServiceRequest blocker;
-    blocker.id = 0;
-    blocker.tier.tolerance = 0.10;
-    auto blockTicket = door.submit(blocker);
-    ASSERT_NE(blockTicket, co::TierFrontDoor::kRejected);
-
-    std::vector<sv::ServiceRequest> batch(2);
-    batch[0].tier.tolerance = 0.10;
-    batch[1].tier.tolerance = 0.10;
-    bool doneFired = false;
-    std::size_t doneExecuted = 99;
-    auto tickets = door.submitBatch(
-        batch, [&](std::size_t n, double) {
-            doneFired = true;
-            doneExecuted = n;
-        });
-    // The queue was full: both shed, the AIMD hook fired inline.
-    EXPECT_EQ(tickets[0], co::TierFrontDoor::kRejected);
-    EXPECT_EQ(tickets[1], co::TierFrontDoor::kRejected);
-    EXPECT_TRUE(doneFired);
-    EXPECT_EQ(doneExecuted, 0u);
-
-    open.store(true, std::memory_order_release);
-    auto resp = door.wait(blockTicket);
-    EXPECT_EQ(resp.status, co::ServeStatus::Ok);
-    door.drain();
-}
-
-// ------------------------------------- batched serving end to end
-
-/** Batcher -> front door -> cached tier service, all together. */
-TEST(FrontDoorBatch, BatcherDrivesDoorWithCacheAttached)
-{
-    ErrVersion fast("v-fast", 0.010, 1.0, 0.03);
-    ErrVersion accurate("v-acc", 0.050, 5.0, 0.0);
-    co::TierService svc({&fast, &accurate});
-    svc.setRules(sv::Objective::ResponseTime,
-                 {singleRule(0.05, 0)});
-    sv::ResultCache cache;
-    svc.setCache(&cache);
-
-    toltiers::exec::ThreadPool pool(4);
-    co::FrontDoorConfig cfg;
-    cfg.pool = &pool;
-    cfg.queueCapacity = 1024;
-    co::TierFrontDoor door(svc, cfg);
-
-    constexpr std::size_t kRequests = 512;
-    {
-        sv::BatcherConfig bc;
-        bc.maxBatch = 16;
-        bc.maxDelaySeconds = 100e-6;
-        sv::AdaptiveBatcher batcher(
-            [&door](std::vector<sv::ServiceRequest> b,
-                    sv::BatchDone done) {
-                (void)door.submitBatch(std::move(b),
-                                       std::move(done));
-            },
-            bc);
-        for (std::size_t i = 0; i < kRequests; ++i) {
-            sv::ServiceRequest req;
-            req.id = i;
-            req.payload = i % 8; // Heavy repetition.
-            req.tier.tolerance = 0.05;
-            batcher.submit(req);
-        }
-        batcher.flush();
-    }
-    door.drain();
-    svc.setCache(nullptr);
-
-    auto s = door.stats();
-    EXPECT_EQ(s.submitted, kRequests);
-    EXPECT_EQ(s.rejected, 0u);
-    EXPECT_EQ(s.completed, kRequests);
-    EXPECT_EQ(s.violations, 0u);
-    EXPECT_GT(s.batches, 0u);
-    auto cs = cache.stats();
-    EXPECT_EQ(cs.lookups, kRequests);
-    EXPECT_EQ(cs.hits + cs.misses, cs.lookups);
-    EXPECT_GT(cs.hits, 0u);
 }

@@ -19,7 +19,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/resilience.hh"
@@ -346,6 +348,82 @@ TEST(ExecuteStage, HedgeRescuesStraggler)
     EXPECT_TRUE(out.attempts[1].won);
     // Both legs are billed for the time they ran.
     EXPECT_GT(out.costDollars, 1.0);
+}
+
+namespace {
+
+/** Forwards to `inner` and records the thread each attempt ran on. */
+class ThreadRecordingVersion : public sv::ServiceVersion
+{
+  public:
+    explicit ThreadRecordingVersion(const sv::ServiceVersion &inner)
+        : inner_(inner)
+    {
+    }
+
+    const std::string &name() const override { return inner_.name(); }
+    const std::string &instanceName() const override
+    {
+        return inner_.instanceName();
+    }
+    std::size_t workloadSize() const override
+    {
+        return inner_.workloadSize();
+    }
+    sv::VersionResult
+    process(std::size_t index) const override
+    {
+        return inner_.process(index);
+    }
+    sv::AttemptResult
+    processAttempt(std::size_t index,
+                   std::uint64_t attempt) const override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            threads_.push_back(std::this_thread::get_id());
+        }
+        return inner_.processAttempt(index, attempt);
+    }
+
+    std::vector<std::thread::id>
+    threads() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return threads_;
+    }
+
+  private:
+    const sv::ServiceVersion &inner_;
+    mutable std::mutex mu_;
+    mutable std::vector<std::thread::id> threads_; // GUARDED_BY(mu_)
+};
+
+} // namespace
+
+TEST(ExecuteStage, HedgeRunsOnTheCallingThread)
+{
+    // The primary has returned before the hedge starts and the
+    // merge uses modeled time, so a second thread would add no
+    // concurrency: both legs run on the caller.
+    StubVersion inner("v", 0.010, 1.0);
+    auto spec = mix(0.0, 0.0, 1.0, 0.0, 9);
+    spec.slowdownFactor = 10.0;
+    sv::FaultyServiceVersion faulty(inner, sv::FaultSchedule(spec));
+    ThreadRecordingVersion recorder(faulty);
+
+    co::ResiliencePolicy policy;
+    policy.hedgeDelaySeconds = 0.02;
+    auto out = co::executeStage(
+        recorder, 0, policy, std::numeric_limits<double>::infinity(),
+        0);
+    EXPECT_EQ(out.hedges, 1u);
+    ASSERT_EQ(out.attempts.size(), 2u);
+    EXPECT_TRUE(out.attempts[1].hedge);
+    auto threads = recorder.threads();
+    ASSERT_EQ(threads.size(), 2u);
+    EXPECT_EQ(threads[0], std::this_thread::get_id());
+    EXPECT_EQ(threads[1], std::this_thread::get_id());
 }
 
 TEST(ExecuteStage, GivesUpWhenBudgetExhausted)

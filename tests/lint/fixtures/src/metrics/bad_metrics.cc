@@ -1,11 +1,6 @@
 // Known-bad (metrics-contract): registers a series the ops doc
-// never mentions, registers a canonical anchor without giving it a
-// conservation equation, and ships a legacy-alias table with a
-// misnamed alias and an alias for a series that does not exist.
-
-#include <string>
-#include <utility>
-#include <vector>
+// never mentions, and registers a canonical anchor without giving
+// it a conservation equation.
 
 namespace fix {
 
@@ -23,18 +18,6 @@ registerSeries(Registry &reg)
                 "Registered here but absent from the ops doc");
     reg.counter("tt_frontdoor_submitted_total",
                 "A canonical anchor with no conservation equation");
-}
-
-const std::vector<std::pair<std::string, std::string>> &
-legacyMetricAliases()
-{
-    static const std::vector<std::pair<std::string, std::string>>
-        kAliases = {
-            {"tt_fix_documented_total", "toltiers_wrong_name"},
-            {"tt_fix_ghostalias_total",
-             "toltiers_fix_ghostalias_total"},
-        };
-    return kAliases;
 }
 
 } // namespace fix

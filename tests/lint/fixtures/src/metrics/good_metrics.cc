@@ -1,11 +1,6 @@
 // Known-good (metrics-contract): every registered series appears
-// in the fixture ops doc, the conservation equation references
-// only registered series, and the alias table follows the
-// mechanical toltiers_ rename.
-
-#include <string>
-#include <utility>
-#include <vector>
+// in the fixture ops doc, and the conservation equation references
+// only registered series.
 
 namespace fix {
 
@@ -20,16 +15,6 @@ registerSeries(Registry &reg)
     reg.counter("tt_fix_lookups_total", "Probes");
     reg.counter("tt_fix_hits_total", "Probes served");
     reg.counter("tt_fix_misses_total", "Probes that fell through");
-}
-
-const std::vector<std::pair<std::string, std::string>> &
-legacyMetricAliases()
-{
-    static const std::vector<std::pair<std::string, std::string>>
-        kAliases = {
-            {"tt_fix_lookups_total", "toltiers_fix_lookups_total"},
-        };
-    return kAliases;
 }
 
 } // namespace fix

@@ -309,10 +309,10 @@ TEST(TtlintAnalysis, MetricsContractCatchesEveryDriftKind)
     auto hits = analysisHits({"src/metrics/bad_metrics.cc"},
                              "analysis/ops_bad.md");
     // 1 registered-but-undocumented + 2 documented-but-
-    // unregistered (ghost + unknown equation term) + 2 alias
-    // violations + 1 equation-less conservation note + 1
-    // unregistered equation term + 1 missing canonical anchor.
-    EXPECT_EQ(hits["metrics-contract"], 8);
+    // unregistered (ghost + unknown equation term) + 1
+    // equation-less conservation note + 1 unregistered equation
+    // term + 1 missing canonical anchor.
+    EXPECT_EQ(hits["metrics-contract"], 6);
     EXPECT_EQ(hits.size(), 1u);
 }
 

@@ -368,28 +368,6 @@ TEST(Export, PrometheusLabelValuesAreEscaped)
     EXPECT_EQ(text.find("\nbye"), std::string::npos);
 }
 
-TEST(Export, LegacyAliasesMirrorRenamedFamiliesOnRequest)
-{
-    ob::Registry reg;
-    reg.counter("tt_tier_requests_total", {{"tier", "0.05"}})
-        .inc(7.0);
-
-    std::ostringstream current;
-    ob::exportPrometheus(reg, current);
-    EXPECT_EQ(current.str().find("toltiers_"), std::string::npos);
-
-    std::ostringstream aliased;
-    ob::exportPrometheus(reg, aliased, /*legacy_aliases=*/true);
-    const std::string text = aliased.str();
-    EXPECT_NE(
-        text.find("tt_tier_requests_total{tier=\"0.05\"} 7"),
-        std::string::npos);
-    EXPECT_NE(
-        text.find(
-            "toltiers_tier_requests_total{tier=\"0.05\"} 7"),
-        std::string::npos);
-}
-
 // ------------------------------------------------------------------ trace
 
 TEST(Trace, ModeledSpansNestAndKeepTimeline)
@@ -939,7 +917,6 @@ struct Scripted
     sv::Objective objective = sv::Objective::ResponseTime;
     double tolerance = 0.0;
     std::size_t payload = 0;
-    double batchWaitSeconds = 0.0;
 };
 
 /**
@@ -1020,7 +997,6 @@ struct SeriesStack
         req.tenant = s.tenant;
         req.tier.objective = s.objective;
         req.tier.tolerance = s.tolerance;
-        req.batchWaitSeconds = s.batchWaitSeconds;
         return req;
     }
 
@@ -1030,18 +1006,6 @@ struct SeriesStack
         auto ticket = door->submit(request(s));
         EXPECT_NE(ticket, tc::TierFrontDoor::kRejected);
         return door->wait(ticket);
-    }
-
-    void
-    submitBatch(const std::vector<Scripted> &batch)
-    {
-        std::vector<sv::ServiceRequest> reqs;
-        for (const Scripted &s : batch)
-            reqs.push_back(request(s));
-        for (auto ticket : door->submitBatch(std::move(reqs))) {
-            EXPECT_NE(ticket, tc::TierFrontDoor::kRejected);
-            (void)door->wait(ticket);
-        }
     }
 
     FakeVersion fast{"fast", 0.125, 0.001, 0.9};
@@ -1104,8 +1068,8 @@ seriesLine(const ob::SeriesSnapshot &s)
 
 /** The golden script: hits and misses, one escalation (to the
  * hedged reference version), one dead-backend fallback, two named
- * tenants plus the anonymous one, both objectives, the implicit
- * reference tiers, and a batch crossing the batch-wait stage. */
+ * tenants plus the anonymous one, both objectives, and the
+ * implicit reference tiers. */
 const std::vector<Scripted> &
 goldenScript()
 {
@@ -1121,19 +1085,10 @@ goldenScript()
         {"alpha", O::ResponseTime, 0.0, 6},  // reference tier miss
         {"alpha", O::ResponseTime, 0.0, 6},  // reference tier hit
         {"", O::Cost, 0.0, 7},               // cost reference tier
+        {"alpha", O::ResponseTime, 0.05, 8}, // miss
+        {"beta", O::ResponseTime, 0.05, 2},  // hit across tenants
     };
     return script;
-}
-
-const std::vector<Scripted> &
-goldenBatch()
-{
-    using O = sv::Objective;
-    static const std::vector<Scripted> batch = {
-        {"alpha", O::ResponseTime, 0.05, 8, 0.001},
-        {"beta", O::ResponseTime, 0.05, 2},
-    };
-    return batch;
 }
 
 } // namespace
@@ -1158,8 +1113,6 @@ TEST(SeriesContract, ScriptedSequenceMatchesGolden)
         (void)stack.submit(s);
         observe(++step);
     }
-    stack.submitBatch(goldenBatch());
-    observe(++step);
 
     auto stats = stack.door->stats();
     EXPECT_EQ(stats.fellBack, 1u);

@@ -7,8 +7,8 @@
  * the TenantGovernor's deficit-round-robin weight proportions and
  * anti-starvation property, exact per-tenant conservation through
  * the TierFrontDoor under an 8-thread hammer (with the registry's
- * tt_tenant_* mirrors agreeing to the unit), the batcher's
- * same-tenant grouping invariant, per-tenant SLO burn windows, and
+ * tt_tenant_* mirrors agreeing to the unit), door teardown on both
+ * dispatch paths, per-tenant SLO burn windows, and
  * the runtime Provisioner: sustained-burn scale-up, hysteresis
  * scale-down, anti-flap cooldown, clamps, the cost model, and
  * byte-identical decision logs regardless of background thread
@@ -31,7 +31,6 @@
 #include "exec/exec.hh"
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
-#include "serving/batcher.hh"
 #include "serving/cluster.hh"
 #include "serving/service_version.hh"
 #include "serving/tenant.hh"
@@ -183,8 +182,8 @@ TEST(TenantGovernor, DequeueHonorsWeightProportions)
     // serve them 3:1 over any sustained backlogged interval.
     std::map<std::string, int> served;
     for (int i = 0; i < 60; ++i) {
-        governor.enqueue("heavy", 1, [&] { ++served["heavy"]; });
-        governor.enqueue("light", 1, [&] { ++served["light"]; });
+        governor.enqueue("heavy", [&] { ++served["heavy"]; });
+        governor.enqueue("light", [&] { ++served["light"]; });
     }
     for (int i = 0; i < 40; ++i) {
         auto work = governor.dequeue();
@@ -207,11 +206,11 @@ TEST(TenantGovernor, FloodingTenantCannotStarveAnother)
     // must be released within ~2 dequeues of the previous one.
     int flood_served = 0;
     for (int i = 0; i < 1000; ++i)
-        governor.enqueue("flood", 1, [&] { ++flood_served; });
+        governor.enqueue("flood", [&] { ++flood_served; });
     std::vector<int> light_positions;
     int position = 0;
     for (int i = 0; i < 10; ++i) {
-        governor.enqueue("light", 1, [&, i] {
+        governor.enqueue("light", [&, i] {
             (void)i;
             light_positions.push_back(position);
         });
@@ -446,26 +445,32 @@ TEST(FrontDoorTenants, LightTenantFinishesUnderFlood)
     }
 }
 
-TEST(FrontDoorTenants, TeardownWaitsForTrailingPumpTasks)
+/**
+ * Destroy a door right after a burst of async completions, ten
+ * times over, on the dispatch path `policy` selects: the DRR pump
+ * with a tenant policy, a direct pool submit without one.
+ *
+ * finishOne() must be every pool task's last touch of the door. A
+ * task that released its request first — say, before the pump
+ * task's trailing `dispatched_--; pump()` — would let drain()
+ * return while a worker was still inside the door, and the
+ * destructor would tear the governor down under it (a
+ * use-after-free that TSan reports as a race). Chains of
+ * self-resubmitting requests maximize in-flight tasks at teardown;
+ * the destructor must always come back.
+ */
+void
+expectTeardownWaitsForTrailingTasks(const sv::TenantPolicy *policy)
 {
-    // Regression: a pump-dispatched pool task finishes its request
-    // (releasing drain()) BEFORE its trailing `dispatched_--;
-    // pump()` runs, so a door destroyed right after a burst of
-    // async completions could tear the governor down under a
-    // worker still inside pump() — a use-after-free that parked
-    // the worker on a dead mutex and hung the pool join forever.
-    // Chains of self-resubmitting requests maximize trailing pumps
-    // at teardown; the destructor must always come back.
     StubVersion fast("fast", 0.0001, 1.0);
     co::TierService svc({&fast});
     svc.setRules(sv::Objective::ResponseTime, {singleRule(0.10, 0)});
-    sv::TenantPolicy policy;
 
     for (int round = 0; round < 10; ++round) {
         ex::ThreadPool pool(2);
         co::FrontDoorConfig cfg;
         cfg.pool = &pool;
-        cfg.tenantPolicy = &policy;
+        cfg.tenantPolicy = policy;
         cfg.queueCapacity = 1024;
         std::atomic<bool> stop{false};
         std::atomic<int> completed{0};
@@ -476,6 +481,7 @@ TEST(FrontDoorTenants, TeardownWaitsForTrailingPumpTasks)
             // before scope exit — while `launch` still lives.
             std::function<void()> launch;
             co::TierFrontDoor door(svc, cfg);
+            ASSERT_EQ(door.fairTenancy(), policy != nullptr);
             launch = [&] {
                 (void)door.submitAsync(
                     tenantRequest("chain"),
@@ -490,48 +496,21 @@ TEST(FrontDoorTenants, TeardownWaitsForTrailingPumpTasks)
             while (completed.load() < 256)
                 std::this_thread::yield();
             stop.store(true);
-            // Destructor runs here, racing the trailing pumps.
+            // Destructor runs here, racing the trailing tasks.
         }
         EXPECT_GE(completed.load(), 256);
     }
 }
 
-// ------------------------------------------------------ Batcher keys
-
-TEST(BatcherTenants, NeverMixesTenantsInOneBatch)
+TEST(FrontDoorTenants, TeardownWaitsForTrailingPumpTasks)
 {
-    std::vector<std::vector<sv::ServiceRequest>> batches;
-    sv::BatcherConfig cfg;
-    cfg.maxBatch = 8;
-    cfg.maxDelaySeconds = 3600.0; // Only size closes groups here.
-    cfg.adaptive = false;
-    {
-        sv::AdaptiveBatcher batcher(
-            [&](std::vector<sv::ServiceRequest> batch,
-                sv::BatchDone done) {
-                batches.push_back(std::move(batch));
-                if (done)
-                    done(batches.back().size(), 0.0);
-            },
-            cfg);
-        // Interleave two tenants with identical tier annotations:
-        // without tenant-aware grouping they would co-batch.
-        for (int i = 0; i < 16; ++i) {
-            batcher.submit(tenantRequest(i % 2 ? "a" : "b", i));
-        }
-        batcher.flush();
-    }
-    ASSERT_FALSE(batches.empty());
-    std::size_t total = 0;
-    for (const auto &batch : batches) {
-        ASSERT_FALSE(batch.empty());
-        for (const auto &req : batch) {
-            EXPECT_EQ(req.tenant, batch.front().tenant)
-                << "a batch mixed tenants";
-        }
-        total += batch.size();
-    }
-    EXPECT_EQ(total, 16u);
+    sv::TenantPolicy policy;
+    expectTeardownWaitsForTrailingTasks(&policy);
+}
+
+TEST(FrontDoorTenants, TeardownWaitsForTrailingPoolTasks)
+{
+    expectTeardownWaitsForTrailingTasks(nullptr);
 }
 
 // ------------------------------------------------------- Tenant SLOs

@@ -704,10 +704,10 @@ const std::set<std::string> &
 defaultBlockingSet()
 {
     static const std::set<std::string> kSet = {
-        "submit",     "submitBatch", "submitAsync", "wait",
-        "wait_for",   "wait_until",  "join",        "drain",
-        "send",       "recv",        "accept",      "connect",
-        "sleep_for",  "sleep_until",
+        "submit",    "submitAsync", "wait",    "wait_for",
+        "wait_until", "join",       "drain",   "send",
+        "recv",      "accept",      "connect", "sleep_for",
+        "sleep_until",
     };
     return kSet;
 }

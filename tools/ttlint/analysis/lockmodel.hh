@@ -13,7 +13,7 @@
  *
  *  - buildLockIndex() walks every unit's namespace/class structure
  *    and records each mutex declaration under its class-qualified
- *    identity (`TierServer::Connection::mu`, `AdaptiveBatcher::mu_`,
+ *    identity (`TierServer::Connection::mu`, `TenantGovernor::mu_`,
  *    a bare `g_emit_mutex` for namespace scope).
  *
  *  - scanFileLocks() re-walks one unit tracking RAII lock scopes

@@ -44,61 +44,6 @@ isSeriesName(const std::string &s)
     return true;
 }
 
-struct AliasPair
-{
-    std::string current;
-    std::string legacy;
-    SrcSite site;
-};
-
-/**
- * Locate the body of `legacyMetricAliases()` in one unit: returns
- * the [first, last] token index range of its braces, or
- * {0, 0} if absent.
- */
-std::pair<std::size_t, std::size_t>
-aliasBodyRange(const std::vector<Token> &tokens)
-{
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-        if (!tokens[i].isIdent("legacyMetricAliases"))
-            continue;
-        // Match the parameter list, then demand the body's `{`
-        // directly after it — that separates the definition from
-        // call sites (`legacyMetricAliases())`) and from the
-        // declaration (`legacyMetricAliases();`).
-        std::size_t j = i + 1;
-        while (j < tokens.size() && !tokens[j].isCode())
-            ++j;
-        if (j >= tokens.size() || !tokens[j].is("("))
-            continue;
-        int parens = 0;
-        while (j < tokens.size()) {
-            if (tokens[j].isCode()) {
-                if (tokens[j].is("("))
-                    ++parens;
-                else if (tokens[j].is(")") && --parens == 0)
-                    break;
-            }
-            ++j;
-        }
-        ++j;
-        while (j < tokens.size() && !tokens[j].isCode())
-            ++j;
-        if (j >= tokens.size() || !tokens[j].is("{"))
-            continue;
-        int depth = 0;
-        for (std::size_t k = j; k < tokens.size(); ++k) {
-            if (!tokens[k].isCode())
-                continue;
-            if (tokens[k].is("{"))
-                ++depth;
-            else if (tokens[k].is("}") && --depth == 0)
-                return {j, k};
-        }
-    }
-    return {0, 0};
-}
-
 } // namespace
 
 std::vector<Finding>
@@ -109,43 +54,27 @@ metricsContractFindings(const std::vector<FileUnit> &units,
     std::vector<Finding> out;
 
     // ------------------------------------------------------------
-    // Registered set from src/ literals; alias pairs separately.
+    // Registered set from src/ literals.
     std::map<std::string, SrcSite> registered;
-    std::vector<AliasPair> aliases;
 
     for (const FileUnit &u : units) {
         if (u.relPath.rfind("src/", 0) != 0)
             continue;
-        auto [aliasOpen, aliasClose] = aliasBodyRange(u.tokens);
-        std::vector<const Token *> aliasStrings;
-        for (std::size_t i = 0; i < u.tokens.size(); ++i) {
-            const Token &t = u.tokens[i];
+        for (const Token &t : u.tokens) {
             if (t.kind != TokenKind::String)
                 continue;
-            if (aliasClose > 0 && i > aliasOpen && i < aliasClose) {
-                aliasStrings.push_back(&t);
-                continue;
-            }
             std::string name = literalContent(t.text);
             if (isSeriesName(name) &&
                 registered.count(name) == 0)
                 registered[name] =
                     SrcSite{u.relPath, t.line, t.col};
         }
-        for (std::size_t i = 0; i + 1 < aliasStrings.size();
-             i += 2) {
-            aliases.push_back(AliasPair{
-                literalContent(aliasStrings[i]->text),
-                literalContent(aliasStrings[i + 1]->text),
-                SrcSite{u.relPath, aliasStrings[i]->line,
-                        aliasStrings[i]->col}});
-        }
     }
 
     // ------------------------------------------------------------
     // Documented set: backticked exact tt_* mentions, outside
-    // fenced code blocks. Wildcards (`tt_foo_*`) match the legacy
-    // "family" rows and are deliberately neither names nor errors.
+    // fenced code blocks. Wildcards (`tt_foo_*`) match "family"
+    // rows and are deliberately neither names nor errors.
     std::map<std::string, int> documented;
     struct ConsBlock
     {
@@ -244,29 +173,6 @@ metricsContractFindings(const std::vector<FileUnit> &units,
                              "' is not registered anywhere in "
                              "src/; dashboards reading it see "
                              "only zeros");
-    }
-
-    // ------------------------------------------------------------
-    // Alias table: every current name exists; every legacy name
-    // is the mechanical toltiers_ rename.
-    for (const AliasPair &a : aliases) {
-        if (!isSeriesName(a.current))
-            continue;
-        if (registered.count(a.current) == 0)
-            out.push_back(Finding{
-                "metrics-contract", a.site.path, a.site.line,
-                a.site.col,
-                "legacyMetricAliases maps '" + a.current +
-                    "', which is not a registered series"});
-        const std::string want =
-            "toltiers_" + a.current.substr(3);
-        if (a.legacy != want)
-            out.push_back(Finding{
-                "metrics-contract", a.site.path, a.site.line,
-                a.site.col,
-                "legacy alias for '" + a.current + "' is '" +
-                    a.legacy + "'; the rename contract is '" +
-                    want + "'"});
     }
 
     // ------------------------------------------------------------

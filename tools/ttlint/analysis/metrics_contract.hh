@@ -10,18 +10,15 @@
  *
  *  - the registered set — every string literal matching
  *    `tt_[a-z0-9_]+` in `src/` (literals ending in `_` are
- *    prefixes under construction, not series names), excluding
- *    the body of `legacyMetricAliases()`, which is parsed
- *    separately as (current, legacy) pairs;
+ *    prefixes under construction, not series names);
  *  - the documented set — every backticked exact `tt_*` mention
  *    in the doc (wildcard mentions like `tt_rulegen_*` are
  *    neither documented names nor errors; fenced code blocks are
  *    skipped);
  *
  * and reports drift in either direction (rule
- * `metrics-contract`). It also verifies the alias table maps each
- * current name to its mechanical `toltiers_` rename and that the
- * doc's conservation equations ("Conservation ..." up to the next
+ * `metrics-contract`). It also verifies that the doc's
+ * conservation equations ("Conservation ..." up to the next
  * blank line) contain an `=` and reference only registered
  * counters — with the three canonical laws (front-door, cache,
  * net accepted-counts) each required to appear whenever their

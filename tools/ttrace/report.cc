@@ -47,9 +47,6 @@ collectStageSamples(const std::vector<obs::TraceRecord> &records)
         if (rootHasChild(r, "admission"))
             addSample(samples, obs::stage::kAdmission,
                       bd.admission);
-        if (rootHasChild(r, "batch_wait"))
-            addSample(samples, obs::stage::kBatchWait,
-                      bd.batchWait);
         if (rootHasChild(r, "rule_match"))
             addSample(samples, obs::stage::kRoute, bd.route);
         if (rootHasChild(r, "cache_lookup"))
@@ -96,7 +93,6 @@ printRequestReport(const obs::TraceRecord &record, std::ostream &os)
                                 stage, v, share);
     };
     line(obs::stage::kAdmission, bd.admission);
-    line(obs::stage::kBatchWait, bd.batchWait);
     line(obs::stage::kRoute, bd.route);
     line(obs::stage::kCache, bd.cache);
     line(obs::stage::kExecute, bd.execute);
@@ -142,10 +138,9 @@ printAggregateReport(const std::vector<obs::TraceRecord> &records,
 
     // Print in pipeline order, not map order.
     const char *order[] = {
-        obs::stage::kAdmission,  obs::stage::kBatchWait,
-        obs::stage::kRoute,      obs::stage::kCache,
-        obs::stage::kExecute,    obs::stage::kRetryBackoff,
-        obs::stage::kHedgeOverlap};
+        obs::stage::kAdmission, obs::stage::kRoute,
+        obs::stage::kCache,     obs::stage::kExecute,
+        obs::stage::kRetryBackoff, obs::stage::kHedgeOverlap};
     for (const char *stage : order) {
         auto it = samples.find(stage);
         if (it == samples.end())

@@ -16,7 +16,7 @@
  *    trace id, complete ("X") events carrying span attributes.
  *
  * A stage contributes a sample only when the request actually
- * crossed it (e.g. no batch-wait sample for unbatched requests),
+ * crossed it (e.g. no execute sample for a cache hit),
  * mirroring what the live tt_stage_seconds histograms record.
  */
 
